@@ -11,7 +11,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "cluster/master.h"
+#include "cluster/shard/sharded_master.h"
 #include "common.h"
 
 using namespace exist;
@@ -67,7 +67,7 @@ main()
         Cluster cluster(cc);
         cluster.deploy("Search1", 5);
 
-        Master master(&cluster);
+        ShardedMaster master(&cluster);
         TraceRequest req;
         req.app = "Search1";
         req.anomaly = true;  // trace all five; evaluate prefixes

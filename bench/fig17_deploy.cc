@@ -8,7 +8,7 @@
  */
 #include <cstdio>
 
-#include "cluster/master.h"
+#include "cluster/shard/sharded_master.h"
 #include "common.h"
 #include "core/exist_backend.h"
 #include "os/costs.h"
@@ -51,7 +51,7 @@ main()
         ClusterConfig cc;
         cc.num_nodes = nodes;
         Cluster cluster(cc);
-        Master master(&cluster);
+        ShardedMaster master(&cluster, {}, /*shards=*/1);
         auto fp = master.managementFootprint();
         mgmt.row({std::to_string(nodes),
                   TableWriter::num(fp.cores, 4),

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "analysis/accuracy.h"
-#include "cluster/master.h"
+#include "cluster/shard/sharded_master.h"
 #include "common.h"
 
 using namespace exist;
@@ -33,7 +33,7 @@ main()
         cc.seed = 33;
         Cluster cluster(cc);
         cluster.deploy("Search1", 10);
-        Master master(&cluster);
+        ShardedMaster master(&cluster);
 
         // Anomaly request: RCO traces all ten repetitions; we then
         // evaluate merging prefixes of 1, 3 and 10 workers.

@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "cluster/master.h"
 #include "cluster/shard/sharded_master.h"
 #include "common.h"
 #include "durability/journal.h"

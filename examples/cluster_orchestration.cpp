@@ -12,7 +12,7 @@
  */
 #include <cstdio>
 
-#include "cluster/master.h"
+#include "cluster/shard/sharded_master.h"
 
 using namespace exist;
 
@@ -29,7 +29,7 @@ main()
     cluster.deploy("Cache", 6);
     cluster.deploy("Agent", 10);
 
-    Master master(&cluster);
+    ShardedMaster master(&cluster);
 
     // The user-facing configuration interface: apply manifests.
     std::uint64_t profiling = master.apply(

@@ -6,8 +6,8 @@
  * results that are byte-identical to in-process delivery whenever the
  * transfer completed within the retry budget.
  *
- * Both masters call collectPlan() between the run phase and
- * publishRequest(); `existctl trace --net` uses the single-session
+ * Every ShardedMaster lane calls collectPlan() between the run phase
+ * and publishRequest(); `existctl trace --net` uses the single-session
  * collectSessionResult(). When spec.net.enabled is false both are
  * no-ops — the historical in-process hand-off.
  *

@@ -2,10 +2,10 @@
  * @file
  * The control plane's durability seam. The cluster library cannot
  * depend on src/durability/ (durability links against cluster), so
- * the masters journal through this abstract interface: the durability
- * plane implements it with a WAL-backed Journal, tests with fakes,
- * and a null journal (the default) restores the historical
- * in-memory-only behaviour.
+ * the control plane journals through this abstract interface: the
+ * durability plane implements it with a WAL-backed Journal, tests
+ * with fakes, and a null journal (the default) restores the
+ * historical in-memory-only behaviour.
  *
  * The WAL-before-state discipline lives in the *callers*: every hook
  * is invoked after the decision is final but BEFORE the corresponding
@@ -27,14 +27,11 @@
 #include <utility>
 #include <vector>
 
-#include "cluster/master.h"
+#include "cluster/shard/plan.h"
 #include "cluster/storage.h"
 #include "util/types.h"
 
 namespace exist {
-
-struct RequestPlan;
-class StoreSink;
 
 /** The coverage-ledger update one publish performs, logged so replay
  *  applies accounting without re-running the request. */
@@ -79,10 +76,11 @@ struct CollectHooks {
 };
 
 /**
- * Full control-plane state image, produced by Master/ShardedMaster
- * ::dumpState() at a quiesced reconcile boundary (the snapshot
- * barrier) and installed by restoreForRecovery(). Maps keep it
- * deterministically ordered; objects/rows are sorted by the dumper.
+ * Full control-plane state image, produced by
+ * ShardedMaster::dumpState() at a quiesced reconcile boundary (the
+ * snapshot barrier) and installed by restoreForRecovery(). Maps keep
+ * it deterministically ordered; objects/rows are sorted by the
+ * dumper.
  */
 struct ControlStateDump {
     std::uint64_t next_id = 1;
@@ -94,8 +92,8 @@ struct ControlStateDump {
     std::vector<TraceRow> rows;
 };
 
-/** The journal interface the masters mutate through. Implementations
- *  must be safe to call from concurrent shard lanes. */
+/** The journal interface the control plane mutates through.
+ *  Implementations must be safe to call from concurrent shard lanes. */
 class ControlJournal
 {
   public:

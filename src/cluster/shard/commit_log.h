@@ -39,7 +39,7 @@ namespace exist {
 class CommitLog
 {
   public:
-    /** Next global request id (starts at 1, like the serial Master). */
+    /** Next global request id (starts at 1). */
     std::uint64_t allocateId()
     {
         return next_id_.fetch_add(1, std::memory_order_relaxed);

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "analysis/accuracy.h"
-#include "cluster/master.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "workload/app_profile.h"

@@ -1,11 +1,11 @@
 /**
  * @file
- * Shared reconcile phases of the control plane: planning one
- * TraceRequest into worker-node sessions and publishing the completed
- * sessions into storage + a merged report. Both the serial Master and
- * the ShardedMaster call these, so "sharded reports are bit-identical
- * to serial" holds by construction, not by parallel maintenance of two
- * copies of the logic.
+ * Reconcile phases of the control plane: planning one TraceRequest
+ * into worker-node sessions and publishing the completed sessions into
+ * storage + a merged report. Every ShardedMaster lane runs these same
+ * functions, and journaled publishes go through them too
+ * (capturePublish), so a report does not depend on which lane or
+ * thread produced it.
  *
  * Determinism contract: planning draws randomness from a *per-request*
  * RNG stream derived by splitmix64 over (cluster seed, request id), so
@@ -28,7 +28,25 @@
 
 namespace exist {
 
-struct TraceReport;
+/** The merged outcome of one reconciled trace request. */
+struct TraceReport {
+    std::uint64_t request_id = 0;
+    std::string app;
+    Cycles period = 0;
+    std::vector<NodeId> traced_nodes;
+    std::vector<double> per_worker_accuracy;
+    /** Wall accuracy of the merged profile vs the merged reference. */
+    double merged_accuracy = 0.0;
+    std::vector<std::uint64_t> merged_function_insns;
+    /** Merged exhaustive reference across workers (for re-scoring
+     *  subsets, e.g. the Fig. 20 sweep). */
+    std::vector<std::uint64_t> merged_truth_function_insns;
+    std::uint64_t total_trace_bytes = 0;
+    /** Mean slowdown observed on the traced pods (sanity telemetry). */
+    double mean_target_cpi = 0.0;
+
+    bool operator==(const TraceReport &) const = default;
+};
 
 /** One worker-node tracing session to run (independent of all others
  *  once planned). */
@@ -45,8 +63,8 @@ struct RequestPlan {
     /** Phase the request should transition to (kRunning, or kFailed
      *  when planning rejected it). planRequest never writes
      *  req->phase itself: the caller owns the transition so it can
-     *  apply it under whatever lock guards the request (the
-     *  ShardedMaster's shard lock; the serial Master needs none). */
+     *  apply it under the lock that guards the request (the
+     *  ShardedMaster's shard lock). */
     RequestPhase outcome = RequestPhase::kFailed;
     Cycles period = 0;
     std::vector<int> workers;
@@ -73,8 +91,8 @@ RequestPlan planRequest(Cluster *cluster,
 
 /**
  * Data-path sink for phase 3: raw trace objects and decoded rows. The
- * serial Master backs this with plain ObjectStore/OdpsTable; the
- * sharded path with their striped variants (+ metrics).
+ * ShardedMaster backs it with the striped stores (+ metrics); the
+ * durability plane's capture sink records the effects instead.
  */
 class StoreSink
 {

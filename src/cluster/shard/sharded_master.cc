@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 
 #include "analysis/testbed.h"
 #include "cluster/collection.h"
@@ -126,9 +127,9 @@ void
 ShardedMaster::reconcile()
 {
     // Snapshot the pending ids per shard and rank every pending id in
-    // global id order — the rank is its commit sequence, making the
-    // sequenced tail of publishing identical to the serial Master's
-    // request-order loop.
+    // global id order — the rank is its commit sequence, so the
+    // sequenced tail of publishing runs in request order whatever the
+    // lane interleaving.
     std::size_t nshards = shards_.size();
     std::vector<std::vector<std::uint64_t>> pending(nshards);
     std::vector<std::uint64_t> all;
@@ -148,27 +149,33 @@ ShardedMaster::reconcile()
 
     log_.beginEpoch(all.size());
 
+    // One pool runs the lanes, and each lane fans its request's
+    // sessions out onto the same pool (parallelFor helps while it
+    // waits, so nesting cannot starve it). threads == 1 keeps
+    // everything inline on this thread, which is what lets an
+    // in-process crash test unwind CrashInjected through reconcile().
+    std::unique_ptr<ThreadPool> owned;
+    ThreadPool *pool = nullptr;
+    if (threads_ > 1) {
+        owned = std::make_unique<ThreadPool>(threads_);
+        pool = owned.get();
+    } else if (threads_ <= 0) {
+        pool = &ThreadPool::shared();
+    }
     auto runShard = [&](std::size_t s) {
-        reconcileShard(s, pending[s], seq_of);
+        reconcileShard(s, pending[s], seq_of, pool);
     };
-    if (threads_ == 1 || nshards == 1) {
+    if (pool == nullptr) {
         for (std::size_t s = 0; s < nshards; ++s)
             runShard(s);
-    } else if (threads_ > 1) {
-        ThreadPool pool(std::min<int>(threads_,
-                                      static_cast<int>(nshards)));
-        pool.parallelFor(0, nshards, runShard);
-        metrics_->gauge("pool.tasks_run")
-            .add(static_cast<std::int64_t>(pool.tasksRun()));
-        metrics_->gauge("pool.steals")
-            .add(static_cast<std::int64_t>(pool.steals()));
     } else {
-        ThreadPool &pool = ThreadPool::shared();
-        pool.parallelFor(0, nshards, runShard);
+        std::uint64_t tasks0 = pool->tasksRun();
+        std::uint64_t steals0 = pool->steals();
+        pool->parallelFor(0, nshards, runShard);
         metrics_->gauge("pool.tasks_run")
-            .set(static_cast<std::int64_t>(pool.tasksRun()));
+            .add(static_cast<std::int64_t>(pool->tasksRun() - tasks0));
         metrics_->gauge("pool.steals")
-            .set(static_cast<std::int64_t>(pool.steals()));
+            .add(static_cast<std::int64_t>(pool->steals() - steals0));
     }
 
     EXIST_ASSERT(log_.epochComplete(),
@@ -179,7 +186,8 @@ void
 ShardedMaster::reconcileShard(std::size_t index,
                               const std::vector<std::uint64_t> &ids,
                               const std::map<std::uint64_t,
-                                             std::uint64_t> &seq_of)
+                                             std::uint64_t> &seq_of,
+                              ThreadPool *pool)
 {
     metrics::Scope scope(*metrics_, "shard." + std::to_string(index));
     metrics::Counter &reconciles = scope.counter("reconciles");
@@ -199,10 +207,10 @@ ShardedMaster::reconcileShard(std::size_t index,
         }
 
         // Plan on the request's private RNG stream, then run its
-        // worker-node sessions in this shard's lane. Planning no
-        // longer writes the phase itself: every phase transition
-        // happens under shard.mu, so concurrent phaseOf() readers
-        // never race a bare store.
+        // worker-node sessions, fanned out on the lane's pool.
+        // Planning does not write the phase itself: every phase
+        // transition happens under shard.mu, so concurrent phaseOf()
+        // readers never race a bare store.
         RequestPlan plan = [&] {
             EXIST_SPAN("reconcile.plan", id);
             return planRequest(cluster_, rco_, *req, threads_);
@@ -213,10 +221,17 @@ ShardedMaster::reconcileShard(std::size_t index,
             MutexLock lk(shard.mu);
             req->phase = plan.outcome;
         }
-        for (SessionPlan &session : plan.sessions) {
+        auto runSession = [&](std::size_t i) {
+            SessionPlan &session = plan.sessions[i];
             EXIST_SPAN("session.run", obs::corrId(id, session.spec.seed));
             session.result = Testbed::run(session.spec);
             recordSessionMetrics(session.result);
+        };
+        if (pool == nullptr) {
+            for (std::size_t i = 0; i < plan.sessions.size(); ++i)
+                runSession(i);
+        } else {
+            pool->parallelFor(0, plan.sessions.size(), runSession);
         }
         sessions_run_.fetch_add(plan.sessions.size(),
                                 std::memory_order_relaxed);
@@ -371,16 +386,20 @@ ShardedMaster::restoreForRecovery(const ControlStateDump &dump)
         odps_.insert(row);
 }
 
-Master::Footprint
+ShardedMaster::Footprint
 ShardedMaster::managementFootprint() const
 {
+    // Calibrated to the paper's Fig. 17 measurement: the RCO management
+    // pod consumes < 3e-3 cores and ~40 MB on a ten-node cluster, with
+    // sub-linear growth toward per-mille overhead at thousand scale.
     // Per-shard footprints summed: each shard carries its slice of the
     // API-server state plus a fixed per-shard overhead (reconcile
-    // loop, stripe locks), on top of the pool-thread memory.
+    // loop, stripe locks). Pool threads are parked outside reconcile,
+    // so they cost stack memory and housekeeping, not cores.
     double nodes = cluster_->numNodes();
     auto nshards = static_cast<double>(shards_.size());
     int threads = threads_ > 0 ? threads_ : ThreadPool::defaultThreads();
-    Master::Footprint f{0.0, 0.0};
+    Footprint f{0.0, 0.0};
     for (std::size_t s = 0; s < shards_.size(); ++s) {
         f.cores += (0.0008 + 0.0002 * nodes) / nshards;
         f.memory_mb += (36.0 + 0.4 * nodes) / nshards + 0.5;

@@ -1,16 +1,26 @@
 /**
  * @file
- * Sharded control plane (the ROADMAP's "sharded cluster reconcile"):
- * the API-server state — TraceRequests, reports, per-request planning
+ * The control plane — the Kubernetes-master-side integration (paper
+ * §4 + §3.4): an API server holding TraceRequest CRDs and a
+ * reconciling controller that (1) asks RCO for the tracing period and
+ * the set of repetitions, (2) runs an EXIST session on each selected
+ * worker node, (3) uploads raw trace objects to the object store,
+ * (4) decodes them against the binary repository and writes
+ * structured rows to the table store, and (5) merges per-worker
+ * traces into one augmented report.
+ *
+ * The API-server state — TraceRequests, reports, per-request planning
  * RNG streams — is partitioned across N shards by request id; each
- * shard runs its own reconcile loop on the runtime work-stealing pool,
- * publishing to lock-striped stores so shards never contend on one
+ * shard runs its own reconcile lane on the runtime work-stealing pool,
+ * fanning its request's worker-node sessions out onto the same pool,
+ * and publishes to lock-striped stores so shards never contend on one
  * store mutex. Cross-shard invariants (the global id stream, RCO
  * coverage accounting, report registration order) go through a small
- * sequenced CommitLog.
+ * sequenced CommitLog. One lane with one thread is the serial
+ * reference every determinism check compares against.
  *
- * Determinism: reports are bit-identical to the serial Master for any
- * shard count and any scheduling, because
+ * Determinism: reports are bit-identical at any shard count, thread
+ * count and scheduling, because
  *   - planning uses the per-request RNG stream
  *     splitmix64(cluster seed, request id) (shared planRequest),
  *   - sessions are deterministic simulations keyed by (seed, node,
@@ -19,7 +29,7 @@
  *     publishRequest), and
  *   - the sequenced commit applies coverage accounting in global
  *     request-id order.
- * Only wall-clock time changes with the shard count.
+ * Only wall-clock time changes with the shard and thread counts.
  */
 #ifndef EXIST_CLUSTER_SHARD_SHARDED_MASTER_H
 #define EXIST_CLUSTER_SHARD_SHARDED_MASTER_H
@@ -31,7 +41,8 @@
 #include <string>
 #include <vector>
 
-#include "cluster/master.h"
+#include "cluster/cluster.h"
+#include "cluster/crd.h"
 #include "cluster/metrics.h"
 #include "cluster/shard/commit_log.h"
 #include "cluster/shard/plan.h"
@@ -41,15 +52,20 @@
 
 namespace exist {
 
+class ControlJournal;
+struct ControlStateDump;
+class ThreadPool;
+
 class ShardedMaster
 {
   public:
     /**
      * shards: number of API-server shards (reconcile lanes). 0 picks
-     * min(hardware threads, 8). threads: session/decode parallelism
-     * knob with the same meaning as Master's (1 = fully serial
-     * sessions, 0 = shared pool). metrics: registry to record into
-     * (nullptr = the process-global registry).
+     * min(hardware threads, 8). threads: width of the one pool that
+     * runs the lanes and their sessions (and selects the per-session
+     * decode pool policy, see planRequest): 1 = everything inline on
+     * the calling thread, 0 = the process-wide shared pool. metrics:
+     * registry to record into (nullptr = the process-global registry).
      */
     explicit ShardedMaster(Cluster *cluster, RcoConfig rco_cfg = {},
                            int shards = 0, int threads = 0,
@@ -87,9 +103,13 @@ class ShardedMaster
         return sessions_run_.load(std::memory_order_relaxed);
     }
 
-    /** Per-shard footprints summed + pool-thread memory (Fig. 17
-     *  telemetry for the sharded plane). */
-    Master::Footprint managementFootprint() const;
+    /** Management-plane resource footprint (paper Fig. 17). */
+    struct Footprint {
+        double cores;
+        double memory_mb;
+    };
+    /** Per-shard footprints summed + pool-thread memory. */
+    Footprint managementFootprint() const;
 
     /**
      * Attach the durability journal (cluster/control_journal.h).
@@ -125,12 +145,14 @@ class ShardedMaster
         return *shards_[id % shards_.size()];
     }
 
-    /** Reconcile one shard's pending requests (runs on a pool worker;
-     *  seq_of maps request id -> global commit sequence). */
+    /** Reconcile one shard's pending requests (seq_of maps request
+     *  id -> global commit sequence). Runs on a worker of `pool` and
+     *  fans each request's sessions out onto it; nullptr = inline. */
     void reconcileShard(std::size_t index,
                         const std::vector<std::uint64_t> &ids,
                         const std::map<std::uint64_t, std::uint64_t>
-                            &seq_of);
+                            &seq_of,
+                        ThreadPool *pool);
     void recordSessionMetrics(const ExperimentResult &result);
 
     Cluster *cluster_;

@@ -6,12 +6,12 @@
  * binaries from there and writes structured results to an ODPS-style
  * table store that users query for analysis.
  *
- * Neither store is internally synchronized: instances are owned
- * either by the single-threaded Master or, one per stripe, by the
- * striped wrappers (cluster/shard/striped_store.h) whose annotated
- * stripe locks are their only guard — the EXIST_GUARDED_BY on those
- * stripe members is what makes Clang's thread-safety analysis check
- * every concurrent access path to this file's classes.
+ * Neither store is internally synchronized: instances are owned, one
+ * per stripe, by the striped wrappers (cluster/shard/striped_store.h)
+ * whose annotated stripe locks are their only guard — the
+ * EXIST_GUARDED_BY on those stripe members is what makes Clang's
+ * thread-safety analysis check every concurrent access path to this
+ * file's classes.
  */
 #ifndef EXIST_CLUSTER_STORAGE_H
 #define EXIST_CLUSTER_STORAGE_H

@@ -71,8 +71,10 @@ struct ClusterMeta {
     std::uint64_t cluster_seed = 0;
     int num_nodes = 0;
     int cores_per_node = 0;
-    /** API-server shard count the log was written under; 0 = the
-     *  serial Master. Recovery rebuilds the same control plane. */
+    /** API-server shard count the log was written under. Recovery
+     *  rebuilds a ShardedMaster with this many lanes; 0 (written by
+     *  versions that still had a serial control plane) recovers into
+     *  one lane. */
     int shards = 0;
     std::uint64_t snapshot_interval = 0;
     /** (app, replicas) in deploy order. */

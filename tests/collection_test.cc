@@ -5,7 +5,8 @@
  * spill-and-summarize degradation, and the ISSUE 6 acceptance gates —
  * results and control-plane reports byte-identical to in-process
  * delivery at drop rates {0, 0.01, 0.05} with reordering, for the
- * Testbed path, the serial Master and the ShardedMaster.
+ * Testbed path, the serial control-plane reference (one lane, one
+ * thread) and the ShardedMaster at several shard counts.
  */
 #include <gtest/gtest.h>
 
@@ -16,7 +17,6 @@
 #include "analysis/testbed.h"
 #include "cluster/collection.h"
 #include "cluster/ingest.h"
-#include "cluster/master.h"
 #include "cluster/session_payload.h"
 #include "cluster/shard/sharded_master.h"
 #include "util/rng.h"
@@ -343,14 +343,16 @@ demoConfig()
     return cc;
 }
 
-/** ISSUE 6 acceptance: Master reports with net enabled at drop rates
- *  {0, 0.01, 0.05} + reordering equal the in-process reports. */
+/** Acceptance: the serial reference's reports with net enabled at
+ *  drop rates {0, 0.01, 0.05} + reordering equal the in-process
+ *  reports. */
 TEST(CollectionAcceptance, MasterReportsIdenticalAcrossDropRates)
 {
     // In-process baseline (no net= keys).
     Cluster base_cluster(demoConfig());
     base_cluster.deploy("Cache", 3);
-    Master baseline(&base_cluster, {}, 1);
+    metrics::Registry base_registry;
+    ShardedMaster baseline(&base_cluster, {}, 1, 1, &base_registry);
     std::vector<std::uint64_t> base_ids;
     for (const std::string &m : netManifests(0.0)) {
         std::string stripped = m.substr(0, m.find(" net="));
@@ -361,7 +363,8 @@ TEST(CollectionAcceptance, MasterReportsIdenticalAcrossDropRates)
     for (double drop : {0.0, 0.01, 0.05}) {
         Cluster cluster(demoConfig());
         cluster.deploy("Cache", 3);
-        Master master(&cluster, {}, 1);
+        metrics::Registry registry;
+        ShardedMaster master(&cluster, {}, 1, 1, &registry);
         std::vector<std::uint64_t> ids;
         for (const std::string &m : netManifests(drop))
             ids.push_back(master.apply(m));
@@ -384,14 +387,15 @@ TEST(CollectionAcceptance, MasterReportsIdenticalAcrossDropRates)
 }
 
 /** Sharded reports with net enabled stay bit-identical to the serial
- *  Master's — the fabric is seeded per request, not per shard. */
+ *  reference's — the fabric is seeded per request, not per shard. */
 TEST(CollectionAcceptance, ShardedMasterMatchesSerialWithNet)
 {
     std::vector<std::string> manifests = netManifests(0.05);
 
     Cluster serial_cluster(demoConfig());
     serial_cluster.deploy("Cache", 3);
-    Master serial(&serial_cluster, {}, 1);
+    metrics::Registry serial_registry;
+    ShardedMaster serial(&serial_cluster, {}, 1, 1, &serial_registry);
     std::vector<std::uint64_t> serial_ids;
     for (const std::string &m : manifests)
         serial_ids.push_back(serial.apply(m));

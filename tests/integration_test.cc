@@ -9,7 +9,7 @@
 
 #include "analysis/accuracy.h"
 #include "analysis/testbed.h"
-#include "cluster/master.h"
+#include "cluster/shard/sharded_master.h"
 #include "decode/flow_reconstructor.h"
 
 namespace exist {
@@ -168,7 +168,7 @@ TEST(ClusterDataPath, OssObjectsDecodeIdentically)
     cc.cores_per_node = 4;
     Cluster cluster(cc);
     cluster.deploy("Cache", 2);
-    Master master(&cluster);
+    ShardedMaster master(&cluster);
     std::uint64_t id =
         master.apply("app=Cache anomaly=true period_ms=80");
     master.reconcile();

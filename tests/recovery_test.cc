@@ -9,7 +9,7 @@
  * to a crash-free run.
  *
  * Crash style here is the in-process one: a test handler throws
- * CrashInjected, the masters run with threads=1 so the exception
+ * CrashInjected, the master runs with threads=1 so the exception
  * unwinds to the driver, the "dead" master is discarded, and
  * recovery runs in the same process (the existctl subprocess tests
  * cover the real _Exit(42) death). Registered under the `recovery`
@@ -30,7 +30,6 @@
 
 #include "cluster/control_journal.h"
 #include "cluster/crd.h"
-#include "cluster/master.h"
 #include "cluster/shard/sharded_master.h"
 #include "durability/crash_point.h"
 #include "durability/journal.h"
@@ -383,7 +382,10 @@ TEST(CrashPointTest, NamedCountAndStepArming)
 // ---------------------------------------------------------------
 
 struct RunConfig {
-    int shards = 1;  ///< 0 = the serial Master
+    /** Lanes the run uses and its log records. 0 is logged as 0 — a
+     *  log from a version with a serial control plane — and runs and
+     *  recovers as one lane. */
+    int shards = 1;
     bool streaming = false;
     bool net = false;
     std::uint64_t snapshot_interval = 0;  ///< 0 = never snapshot
@@ -453,9 +455,16 @@ struct Artifacts {
     CoverageLedger ledger;
 };
 
-template <typename MasterT>
+/** The crash tests' control plane: `cfg.shards` lanes (at least one),
+ *  everything inline so an injected crash unwinds to the caller. */
+ShardedMaster
+makeMaster(Cluster *cluster, int shards)
+{
+    return ShardedMaster(cluster, {}, std::max(1, shards), 1);
+}
+
 Artifacts
-captureArtifacts(MasterT &master)
+captureArtifacts(ShardedMaster &master)
 {
     Artifacts a;
     for (std::uint64_t id = 1; id <= kRequests; ++id) {
@@ -497,9 +506,8 @@ expectArtifactsEqual(const Artifacts &got, const Artifacts &want)
     EXPECT_TRUE(got.ledger == want.ledger);
 }
 
-template <typename MasterT>
 Artifacts
-driveToCompletion(MasterT &master,
+driveToCompletion(ShardedMaster &master,
                   const std::vector<std::string> &manifests)
 {
     for (const std::string &m : manifests)
@@ -514,25 +522,22 @@ golden(const RunConfig &cfg)
 {
     Cluster cluster(smallConfig());
     cluster.deploy(kApp, kReplicas);
-    std::vector<std::string> ms = demoManifests(cfg);
-    if (cfg.shards == 0) {
-        Master master(&cluster, {}, 1);
-        return driveToCompletion(master, ms);
-    }
-    ShardedMaster master(&cluster, {}, cfg.shards, 1);
-    return driveToCompletion(master, ms);
+    ShardedMaster master = makeMaster(&cluster, cfg.shards);
+    return driveToCompletion(master, demoManifests(cfg));
 }
 
 /** Run journaled to completion (threads=1 so an armed crash unwinds
  *  here); returns true if the armed crash fired. */
-template <typename MasterT>
 bool
-runJournaled(MasterT &master, Journal &journal,
-             const std::vector<std::string> &manifests)
+journaledRun(const RunConfig &cfg, const fs::path &dir)
 {
+    Cluster cluster(smallConfig());
+    cluster.deploy(kApp, kReplicas);
+    Journal journal(specFor(cfg, dir), metaFor(cfg));
+    ShardedMaster master = makeMaster(&cluster, cfg.shards);
     master.attachJournal(&journal);
     try {
-        for (const std::string &m : manifests)
+        for (const std::string &m : demoManifests(cfg))
             master.apply(m);
         master.reconcile();
         journal.maybeSnapshot(
@@ -541,21 +546,6 @@ runJournaled(MasterT &master, Journal &journal,
         return true;
     }
     return false;
-}
-
-bool
-journaledRun(const RunConfig &cfg, const fs::path &dir)
-{
-    Cluster cluster(smallConfig());
-    cluster.deploy(kApp, kReplicas);
-    Journal journal(specFor(cfg, dir), metaFor(cfg));
-    std::vector<std::string> ms = demoManifests(cfg);
-    if (cfg.shards == 0) {
-        Master master(&cluster, {}, 1);
-        return runJournaled(master, journal, ms);
-    }
-    ShardedMaster master(&cluster, {}, cfg.shards, 1);
-    return runJournaled(master, journal, ms);
 }
 
 /** Recover `dir`, finish the run (client-retrying admissions the WAL
@@ -587,22 +577,14 @@ recoverAndFinish(const RunConfig &cfg, const fs::path &dir)
             static_cast<std::ptrdiff_t>(st.dump.next_id - 1),
         ms.end());
 
-    auto finish = [&](auto &master) {
-        master.restoreForRecovery(st.dump);
-        master.attachJournal(&journal);
-        for (const std::string &m : missing)
-            master.apply(m);
-        master.reconcile();
-        journal.maybeSnapshot(
-            [&master] { return master.dumpState(); });
-        return captureArtifacts(master);
-    };
-    if (st.meta.shards == 0) {
-        Master master(&cluster, {}, 1);
-        return finish(master);
-    }
-    ShardedMaster master(&cluster, {}, st.meta.shards, 1);
-    return finish(master);
+    ShardedMaster master = makeMaster(&cluster, st.meta.shards);
+    master.restoreForRecovery(st.dump);
+    master.attachJournal(&journal);
+    for (const std::string &m : missing)
+        master.apply(m);
+    master.reconcile();
+    journal.maybeSnapshot([&master] { return master.dumpState(); });
+    return captureArtifacts(master);
 }
 
 void
@@ -682,13 +664,14 @@ TEST(RecoveryMatrixTest, EveryNamedPointShardedStreamingNet)
                             "named" + std::to_string(i++));
 }
 
-TEST(RecoveryMatrixTest, SerialMasterCrashRecover)
+TEST(RecoveryMatrixTest, ZeroShardLogFromOlderVersionRecovers)
 {
-    // meta.shards == 0: recovery rebuilds the serial Master.
+    // meta.shards == 0 is what versions with a serial control plane
+    // logged; such a log must still recover, into one lane.
     RunConfig cfg{/*shards=*/0, false, true, 0};
     Artifacts want = golden(cfg);
-    crashRecoverCompare(cfg, "pre-store:2", want, "serial");
-    crashRecoverCompare(cfg, "ingest-frame:2", want, "serial2");
+    crashRecoverCompare(cfg, "pre-store:2", want, "zero");
+    crashRecoverCompare(cfg, "ingest-frame:2", want, "zero2");
 }
 
 TEST(RecoveryMatrixTest, RandomizedEventQueueSteps)
@@ -719,7 +702,7 @@ TEST(RecoveryTest, JournaledRunMatchesUnjournaledByteForByte)
 {
     // WAL on vs off: journaling is pure observation. Also pins that
     // a crash-free journaled run leaves a replayable log behind.
-    for (int shards : {0, 2}) {
+    for (int shards : {1, 2}) {
         SCOPED_TRACE("shards=" + std::to_string(shards));
         RunConfig cfg{shards, false, false, /*snapshot_interval=*/2};
         Artifacts want = golden(cfg);
@@ -728,21 +711,10 @@ TEST(RecoveryTest, JournaledRunMatchesUnjournaledByteForByte)
         Cluster cluster(smallConfig());
         cluster.deploy(kApp, kReplicas);
         Journal journal(specFor(cfg, dir), metaFor(cfg));
-        std::vector<std::string> ms = demoManifests(cfg);
-        Artifacts got;
-        if (shards == 0) {
-            Master master(&cluster, {}, 1);
-            master.attachJournal(&journal);
-            got = driveToCompletion(master, ms);
-            journal.maybeSnapshot(
-                [&master] { return master.dumpState(); });
-        } else {
-            ShardedMaster master(&cluster, {}, shards, 1);
-            master.attachJournal(&journal);
-            got = driveToCompletion(master, ms);
-            journal.maybeSnapshot(
-                [&master] { return master.dumpState(); });
-        }
+        ShardedMaster master = makeMaster(&cluster, shards);
+        master.attachJournal(&journal);
+        Artifacts got = driveToCompletion(master, demoManifests(cfg));
+        journal.maybeSnapshot([&master] { return master.dumpState(); });
         expectArtifactsEqual(got, want);
 
         // The log it left is itself recoverable, with nothing
@@ -769,7 +741,7 @@ TEST(RecoveryTest, SnapshotBoundsReplayNotRunLength)
         Cluster cluster(smallConfig());
         cluster.deploy(kApp, kReplicas);
         Journal journal(specFor(cfg, dir), metaFor(cfg));
-        ShardedMaster master(&cluster, {}, cfg.shards, 1);
+        ShardedMaster master = makeMaster(&cluster, cfg.shards);
         master.attachJournal(&journal);
         std::vector<std::string> ms = demoManifests(cfg);
         // Three reconcile epochs = 12 publishes, snapshotting at

@@ -1,9 +1,10 @@
 /**
  * @file
  * Sharded control-plane tests: the headline determinism guarantee
- * (ShardedMaster reports are bit-identical to the serial Master for
- * any shard count × submit order), commit-log ordering, and
- * TSan-targeted stress of concurrent submits, striped stores and the
+ * (ShardedMaster reports are bit-identical to the serial reference —
+ * one lane, one thread — for any shard count × thread count × submit
+ * order), commit-log ordering, and TSan-targeted stress of concurrent
+ * submits, lane-level session fan-out, striped stores and the
  * lock-striped metrics registry (runs in the `concurrency` suite).
  */
 #include <gtest/gtest.h>
@@ -13,7 +14,6 @@
 #include <thread>
 #include <vector>
 
-#include "cluster/master.h"
 #include "cluster/metrics.h"
 #include "cluster/shard/commit_log.h"
 #include "cluster/shard/plan.h"
@@ -85,22 +85,28 @@ sortedRows(std::vector<const TraceRow *> rows)
     return out;
 }
 
-/** Run one submit stream through a serial Master and a ShardedMaster
- *  with `shards` shards and compare every observable artifact. */
+/** Run one submit stream through the serial reference (one lane, one
+ *  thread) and a ShardedMaster with `shards` shards on `threads`
+ *  threads, and compare every observable artifact. `pool_tasks`, if
+ *  set, receives the tasks the sharded run executed on its pool. */
 void
 compareSerialVsSharded(const std::vector<std::string> &manifests,
-                       int shards)
+                       int shards, int threads = 2,
+                       std::int64_t *pool_tasks = nullptr)
 {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
+    SCOPED_TRACE("shards=" + std::to_string(shards) +
+                 " threads=" + std::to_string(threads));
 
     Cluster serial_cluster(smallConfig());
     deployDemo(serial_cluster);
-    Master serial(&serial_cluster, {}, 1);
+    metrics::Registry serial_registry;
+    ShardedMaster serial(&serial_cluster, {}, 1, 1, &serial_registry);
 
     Cluster sharded_cluster(smallConfig());
     deployDemo(sharded_cluster);
     metrics::Registry registry;
-    ShardedMaster sharded(&sharded_cluster, {}, shards, 2, &registry);
+    ShardedMaster sharded(&sharded_cluster, {}, shards, threads,
+                          &registry);
 
     std::vector<std::uint64_t> serial_ids, sharded_ids;
     for (const std::string &m : manifests) {
@@ -139,6 +145,8 @@ compareSerialVsSharded(const std::vector<std::string> &manifests,
     // Coverage accounting committed in request order matches exactly.
     EXPECT_TRUE(serial.coverage() == sharded.coverage());
     EXPECT_EQ(serial.sessionsRun(), sharded.sessionsRun());
+    EXPECT_EQ(serial_registry.counter("sessions.run").value(),
+              registry.counter("sessions.run").value());
 
     // The control plane observed itself.
     EXPECT_EQ(registry.counter("api.submits").value(),
@@ -154,6 +162,8 @@ compareSerialVsSharded(const std::vector<std::string> &manifests,
                                          ".reconciles")
                                 .value();
     EXPECT_EQ(shard_reconciles, manifests.size());
+    if (pool_tasks != nullptr)
+        *pool_tasks = registry.gauge("pool.tasks_run").value();
 }
 
 TEST(ShardedMasterTest, BitIdenticalToSerialAcrossShardCounts)
@@ -166,7 +176,7 @@ TEST(ShardedMasterTest, BitIdenticalUnderInterleavedSubmitOrders)
 {
     // Same request set, different interleavings: each order forms its
     // own id stream; within an order, every shard count must agree
-    // with the serial Master fed that same order.
+    // with the serial reference fed that same order.
     std::vector<std::string> reversed = demoManifests();
     std::reverse(reversed.begin(), reversed.end());
     std::vector<std::string> rotated = demoManifests();
@@ -222,27 +232,28 @@ TEST(ShardedMasterTest, FootprintSumsPerShardAndPoolThreads)
     Cluster cluster(smallConfig());
     deployDemo(cluster);
     metrics::Registry registry;
+    ShardedMaster m1(&cluster, {}, 1, 2, &registry);
     ShardedMaster m2(&cluster, {}, 2, 2, &registry);
     ShardedMaster m8(&cluster, {}, 8, 2, &registry);
-    Master serial(&cluster, {}, 2);
 
+    auto f1 = m1.managementFootprint();
     auto f2 = m2.managementFootprint();
     auto f8 = m8.managementFootprint();
-    auto fs = serial.managementFootprint();
-    // Sharding adds per-shard overhead, never reduces the total below
-    // the serial plane's state.
+    // Each shard adds a fixed overhead on top of the same API-server
+    // state, so more shards never shrink the total.
     EXPECT_GT(f8.memory_mb, f2.memory_mb);
-    EXPECT_GE(f2.memory_mb, fs.memory_mb);
+    EXPECT_GT(f2.memory_mb, f1.memory_mb);
     // Still per-mille territory on a small cluster.
     EXPECT_LT(f8.cores, 0.01);
 }
 
 TEST(ShardedMasterTest, FootprintScalesWithThreads)
 {
-    // Satellite fix: the footprint must depend on the pool width.
+    // The footprint must depend on the pool width.
     Cluster cluster(smallConfig());
-    Master narrow(&cluster, {}, 2);
-    Master wide(&cluster, {}, 16);
+    metrics::Registry registry;
+    ShardedMaster narrow(&cluster, {}, 2, 2, &registry);
+    ShardedMaster wide(&cluster, {}, 2, 16, &registry);
     EXPECT_GT(wide.managementFootprint().memory_mb,
               narrow.managementFootprint().memory_mb);
     EXPECT_GT(wide.managementFootprint().cores,
@@ -296,6 +307,23 @@ TEST(ShardedMasterStress, ConcurrentSubmitsThenReconcile)
               master.oss().totalBytes());
     EXPECT_EQ(registry.histogram("reconcile.latency_us").count(),
               kTotal);
+}
+
+TEST(ShardedMasterStress, LaneSessionsFanOutIdentically)
+{
+    // TSan target: one anomaly request's three sessions (one per
+    // Cache replica) run concurrently inside its lane — on a pool of
+    // its own with one shard, on the shared pool with four — and must
+    // publish exactly what the inline serial reference does.
+    const std::vector<std::string> one = {
+        "app=Cache anomaly=true period_ms=20 budget_mb=64"};
+    std::int64_t tasks = 0;
+    // One shard runs its lane inline, so every pool task is a session.
+    compareSerialVsSharded(one, /*shards=*/1, /*threads=*/4, &tasks);
+    EXPECT_GE(tasks, 3);
+    // Four lanes as pool tasks, plus the busy lane's three sessions.
+    compareSerialVsSharded(one, /*shards=*/4, /*threads=*/0, &tasks);
+    EXPECT_GE(tasks, 4 + 3);
 }
 
 TEST(ShardedMasterStress, PhaseReadersDuringReconcile)

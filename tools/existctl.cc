@@ -1,7 +1,7 @@
 /**
  * @file
  * existctl — the operator CLI over the EXIST library (the paper's
- * "easy-to-use interface", §3.1/§4). Three commands:
+ * "easy-to-use interface", §3.1/§4). Commands:
  *
  *   existctl list-apps
  *       Show the workload catalog.
@@ -36,8 +36,8 @@
  *   existctl cluster <manifest>... [--threads N]
  *       Stand up a demo ten-node cluster with the cloud applications
  *       deployed, apply each TraceRequest manifest (e.g.
- *       "app=Search1 anomaly=true period_ms=200"), reconcile, and
- *       print the merged reports.
+ *       "app=Search1 anomaly=true period_ms=200"), reconcile at the
+ *       default shard count, and print the merged reports.
  *
  *   existctl metrics [<manifest>...] [--shards N] [--threads N]
  *       Dump the process-global control-plane metrics registry as one
@@ -47,8 +47,8 @@
  *
  *   existctl trace <app> --wal DIR [--snapshot-interval K]
  *                        [--crash-at P] [--shards N] ...
- *       Durability mode (DESIGN.md §12): the control plane (serial
- *       without --shards, sharded with) journals every mutation into
+ *       Durability mode (DESIGN.md §12): the control plane (one
+ *       lane without --shards, N with) journals every mutation into
  *       DIR's write-ahead log and snapshots every K publishes.
  *       --crash-at arms a named crash point ("admit", "post-plan",
  *       "ingest-frame", "pre-store", "mid-snapshot", "post-snapshot",
@@ -68,7 +68,7 @@
  *       table (name, type, value). --iterations N redraws the table N
  *       times at --interval-ms spacing, like a primitive `top`.
  *
- *   existctl dump-flight [<manifest>...] [--threads N]
+ *   existctl dump-flight [<manifest>...] [--shards N] [--threads N]
  *       Reconcile the optional manifests (to generate span traffic),
  *       then dump the self-observability flight recorder — the last
  *       events of every thread — to stdout. This is the same dump a
@@ -84,6 +84,7 @@
  * bit-identical at any thread or shard count — they only change wall
  * time.
  */
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -95,7 +96,6 @@
 #include "analysis/report.h"
 #include "analysis/testbed.h"
 #include "cluster/collection.h"
-#include "cluster/master.h"
 #include "cluster/metrics.h"
 #include "cluster/shard/sharded_master.h"
 #include "core/exist_backend.h"
@@ -139,7 +139,8 @@ usage()
         "       existctl top [<manifest>...] [--shards N]\n"
         "                      [--threads N] [--iterations N]\n"
         "                      [--interval-ms M]\n"
-        "       existctl dump-flight [<manifest>...] [--threads N]\n"
+        "       existctl dump-flight [<manifest>...] [--shards N]\n"
+        "                      [--threads N]\n"
         "       (any trace form also takes --self-trace FILE)\n",
         stderr);
     return 2;
@@ -162,9 +163,8 @@ cmdListApps()
 
 /** Print one reconciled request deterministically (stdout must stay
  *  byte-comparable across shard/thread counts). */
-template <typename MasterT>
 void
-printReports(MasterT &master, const std::vector<std::uint64_t> &ids)
+printReports(ShardedMaster &master, const std::vector<std::uint64_t> &ids)
 {
     for (std::uint64_t id : ids) {
         const TraceRequest *req = master.request(id);
@@ -255,26 +255,8 @@ traceSharded(const std::string &app, double period_ms,
     return 0;
 }
 
-/** Shared tail of the WAL-journaled trace: submit everything first
- *  (all admissions durable before any reconcile-time crash point),
- *  reconcile once, snapshot if due, print. */
-template <typename MasterT>
-int
-runWalTrace(MasterT &master, durability::Journal &journal,
-            const std::string &manifest, int nrequests)
-{
-    master.attachJournal(&journal);
-    std::vector<std::uint64_t> ids;
-    for (int i = 0; i < nrequests; ++i)
-        ids.push_back(master.apply(manifest));
-    master.reconcile();
-    journal.maybeSnapshot([&master] { return master.dumpState(); });
-    printReports(master, ids);
-    return 0;
-}
-
 /** `trace --wal DIR`: the demo deployment reconciled under the
- *  durability journal (shards == 0 => the serial Master). stdout is
+ *  durability journal (no --shards => one lane). stdout is
  *  byte-identical to the same run without --wal. */
 int
 traceWal(const std::string &app, double period_ms,
@@ -283,6 +265,9 @@ traceWal(const std::string &app, double period_ms,
          const std::string &wal_dir, std::uint64_t snapshot_interval,
          const std::string &crash_at)
 {
+    // Never hand 0 to ShardedMaster here: it would pick min(hw, 8)
+    // lanes, and the log must name the lane count it was written at.
+    shards = std::max(1, shards);
     ClusterConfig cc;
     cc.num_nodes = 6;
     cc.cores_per_node = 4;
@@ -327,12 +312,17 @@ traceWal(const std::string &app, double period_ms,
     if (!crash_at.empty())
         durability::crashpoint::arm(crash_at);
 
-    if (shards == 0) {
-        Master master(&cluster, {}, threads);
-        return runWalTrace(master, journal, manifest, 4);
-    }
+    // Submit everything first (all admissions durable before any
+    // reconcile-time crash point), reconcile once, snapshot if due.
     ShardedMaster master(&cluster, {}, shards, threads);
-    return runWalTrace(master, journal, manifest, 4);
+    master.attachJournal(&journal);
+    std::vector<std::uint64_t> ids;
+    for (int i = 0; i < 4; ++i)
+        ids.push_back(master.apply(manifest));
+    master.reconcile();
+    journal.maybeSnapshot([&master] { return master.dumpState(); });
+    printReports(master, ids);
+    return 0;
 }
 
 /** `recover DIR`: rebuild the control plane the WAL describes and
@@ -387,21 +377,15 @@ cmdRecover(int argc, char **argv)
     for (const auto &[id, req] : st.dump.requests)
         ids.push_back(id);
 
-    if (st.meta.shards == 0) {
-        Master master(&cluster, {}, threads);
-        master.restoreForRecovery(st.dump);
-        master.attachJournal(&journal);
-        master.reconcile();
-        journal.maybeSnapshot([&master] { return master.dumpState(); });
-        printReports(master, ids);
-    } else {
-        ShardedMaster master(&cluster, {}, st.meta.shards, threads);
-        master.restoreForRecovery(st.dump);
-        master.attachJournal(&journal);
-        master.reconcile();
-        journal.maybeSnapshot([&master] { return master.dumpState(); });
-        printReports(master, ids);
-    }
+    // A log that records 0 shards predates the one-lane default and
+    // recovers into one lane (0 would pick min(hw, 8) lanes).
+    ShardedMaster master(&cluster, {}, std::max(1, st.meta.shards),
+                         threads);
+    master.restoreForRecovery(st.dump);
+    master.attachJournal(&journal);
+    master.reconcile();
+    journal.maybeSnapshot([&master] { return master.dumpState(); });
+    printReports(master, ids);
     return 0;
 }
 
@@ -570,6 +554,34 @@ cmdTrace(int argc, char **argv)
     return 0;
 }
 
+/** Reconcile `manifests` on the demo cluster through a ShardedMaster
+ *  recording into the global registry, and with `print` print the
+ *  merged reports (cluster prints them; metrics/top/dump-flight share
+ *  this to put live traffic behind their views). Returns the shard
+ *  count actually used. */
+int
+reconcileDemoManifests(const std::vector<const char *> &manifests,
+                       int shards, int threads, bool print = false)
+{
+    ClusterConfig cc;
+    cc.num_nodes = 10;
+    cc.cores_per_node = 6;
+    Cluster cluster(cc);
+    cluster.deploy("Search1", 8);
+    cluster.deploy("Search2", 6);
+    cluster.deploy("Cache", 6);
+    cluster.deploy("Pred", 4);
+    cluster.deploy("Agent", 10);
+    ShardedMaster master(&cluster, {}, shards, threads);
+    std::vector<std::uint64_t> ids;
+    for (const char *manifest : manifests)
+        ids.push_back(master.apply(manifest));
+    master.reconcile();
+    if (print)
+        printReports(master, ids);
+    return master.shardCount();
+}
+
 int
 cmdCluster(int argc, char **argv)
 {
@@ -588,48 +600,9 @@ cmdCluster(int argc, char **argv)
     }
     if (manifests.empty())
         return usage();
-
-    ClusterConfig cc;
-    cc.num_nodes = 10;
-    cc.cores_per_node = 6;
-    Cluster cluster(cc);
-    cluster.deploy("Search1", 8);
-    cluster.deploy("Search2", 6);
-    cluster.deploy("Cache", 6);
-    cluster.deploy("Pred", 4);
-    cluster.deploy("Agent", 10);
-    Master master(&cluster, {}, threads);
-
-    std::vector<std::uint64_t> ids;
-    for (const char *manifest : manifests)
-        ids.push_back(master.apply(manifest));
-    master.reconcile();
-    printReports(master, ids);
+    reconcileDemoManifests(manifests, /*shards=*/0, threads,
+                           /*print=*/true);
     return 0;
-}
-
-/** Reconcile `manifests` on the demo cluster through a ShardedMaster
- *  recording into the global registry (metrics/top/dump-flight share
- *  this to put live traffic behind their views). Returns the shard
- *  count actually used. */
-int
-reconcileDemoManifests(const std::vector<const char *> &manifests,
-                       int shards, int threads)
-{
-    ClusterConfig cc;
-    cc.num_nodes = 10;
-    cc.cores_per_node = 6;
-    Cluster cluster(cc);
-    cluster.deploy("Search1", 8);
-    cluster.deploy("Search2", 6);
-    cluster.deploy("Cache", 6);
-    cluster.deploy("Pred", 4);
-    cluster.deploy("Agent", 10);
-    ShardedMaster master(&cluster, {}, shards, threads);
-    for (const char *manifest : manifests)
-        master.apply(manifest);
-    master.reconcile();
-    return master.shardCount();
 }
 
 int
