@@ -373,29 +373,21 @@ Testbed::run(const ExperimentSpec &spec)
         // result field bit-identical to the serial path. With the
         // streaming pipeline most bytes were reconstructed during the
         // session already, so only the tails remain here.
-        std::vector<std::pair<CoreId, DecodedTrace>> decoded;
         if (streamer != nullptr) {
-            decoded = streamer->finish();
+            result.decoded = streamer->finish();
             result.streamed = true;
         } else {
             ParallelDecoder rec(&binary, opts, spec.decode_threads);
-            decoded = rec.decodeAll(collected);
+            result.decoded = rec.decodeAll(collected);
         }
 
         result.decoded_function_insns.assign(binary.numFunctions(), 0);
         result.decoded_function_entries.assign(binary.numFunctions(), 0);
         std::uint64_t path_matched = 0, path_total = 0;
 
-        for (const auto &[core, dt] : decoded) {
+        for (auto &[core, dt] : result.decoded) {
             result.decoded_branches += dt.branches_decoded;
             result.decode_errors += dt.decode_errors;
-            result.decode_cache_hits += dt.cache_stats.memo_hits;
-            result.decode_cache_misses += dt.cache_stats.memo_misses;
-            result.decode_cache_fast_bits +=
-                dt.cache_stats.memo_fast_bits;
-            result.decode_cache_bytes +=
-                dt.cache_stats.memo_bytes +
-                dt.cache_stats.block_cache_bytes;
             for (std::size_t f = 0; f < dt.function_insns.size(); ++f) {
                 result.decoded_function_insns[f] += dt.function_insns[f];
                 result.decoded_function_entries[f] +=
@@ -410,6 +402,9 @@ Testbed::run(const ExperimentSpec &spec)
                 path_matched += pm.matched;
                 path_total += dt.block_path.size();
             }
+            // path_precision is the path's only reader. Swap rather
+            // than `= {}`, which keeps the capacity.
+            std::vector<std::uint32_t>().swap(dt.block_path);
         }
         result.accuracy_coverage = coverageAccuracy(
             result.decoded_branches, result.truth_branches);

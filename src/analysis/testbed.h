@@ -13,11 +13,11 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/backend.h"
-#include "durability/spec.h"
-#include "net/fabric.h"
+#include "decode/flow_reconstructor.h"
 #include "os/kernel.h"
 #include "util/stats.h"
 #include "util/types.h"
@@ -78,22 +78,6 @@ struct ExperimentSpec {
     /** TNT-memo window size in bits (0 disables memoization, the
      *  block cache alone still applies); clamped to [0, 16]. */
     int tnt_memo_bits = 6;
-    /**
-     * Collection-plane transport (ISSUE 6): when enabled, the session
-     * result's collection-borne fields travel node agent -> master
-     * ingest over the simulated fabric instead of being handed over
-     * in-process. Testbed::run itself ignores this — transport is
-     * applied by the cluster layer (cluster/collection.h) after the
-     * session finishes, so analysis stays independent of the cluster.
-     */
-    net::NetSpec net;
-    /**
-     * Durability plane (DESIGN.md §12): like `net`, Testbed::run
-     * ignores this — the control plane (masters + durability journal)
-     * consumes it. Carried here so one spec describes the whole
-     * experiment, including its crash-recovery configuration.
-     */
-    durability::DurabilitySpec durability;
     std::uint64_t seed = 1;
 };
 
@@ -137,6 +121,12 @@ struct ExperimentResult {
     double path_precision = 1.0;
     /** Raw collected traces (when keep_traces). */
     std::vector<CollectedTrace> raw_traces;
+    /** The session's per-core decode, in collection order (when
+     *  spec.decode): the one decode behind the accuracy fields, read
+     *  again by the behaviour report and the decode.cache.* metrics
+     *  instead of decoding twice. Each block_path is released once
+     *  path_precision is scored. Not collection-borne. */
+    std::vector<std::pair<CoreId, DecodedTrace>> decoded;
 
     /** Wall-clock seconds from tracing stop to decoded results ready
      *  (trace-end→report-ready; real time, since decode is the offline
@@ -144,14 +134,6 @@ struct ExperimentResult {
     double report_latency_s = 0.0;
     /** Whether the streaming pipeline ran (vs the batch fallback). */
     bool streamed = false;
-
-    // Decode fast-path telemetry, aggregated over all decoded buffers
-    // (pure observability — the values depend on chunking and warm-up,
-    // so reports must never include them; the metrics registry does).
-    std::uint64_t decode_cache_hits = 0;
-    std::uint64_t decode_cache_misses = 0;
-    std::uint64_t decode_cache_fast_bits = 0;
-    std::uint64_t decode_cache_bytes = 0;
 
     const AppResult *find(const std::string &name) const;
     const AppResult &at(const std::string &name) const;

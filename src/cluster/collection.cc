@@ -200,16 +200,15 @@ CollectionOutcome
 collectPlan(RequestPlan &plan, std::uint64_t cluster_seed,
             metrics::Registry *registry, const CollectHooks *hooks)
 {
-    if (plan.sessions.empty() ||
-        !plan.sessions.front().spec.net.enabled)
+    const net::NetSpec spec = plan.req->netSpec();
+    if (plan.sessions.empty() || !spec.enabled)
         return {};
     std::vector<Shipment> shipments;
     shipments.reserve(plan.sessions.size());
     for (std::size_t i = 0; i < plan.sessions.size(); ++i)
         shipments.push_back(Shipment{plan.sessions[i].node, i,
                                      &plan.sessions[i].result});
-    return runCollection(plan.sessions.front().spec.net,
-                         collectSeed(cluster_seed, plan.req->id),
+    return runCollection(spec, collectSeed(cluster_seed, plan.req->id),
                          plan.req->app, std::move(shipments), registry,
                          hooks);
 }

@@ -8,8 +8,10 @@
  *
  * Every ShardedMaster lane calls collectPlan() between the run phase
  * and publishRequest(); `existctl trace --net` uses the single-session
- * collectSessionResult(). When spec.net.enabled is false both are
- * no-ops — the historical in-process hand-off.
+ * collectSessionResult(). Both are no-ops — the historical in-process
+ * hand-off — unless their NetSpec is enabled: the request's
+ * TraceRequest::netSpec() (its `net=` manifest keys) for collectPlan(),
+ * the caller's spec for collectSessionResult().
  *
  * Determinism: each request gets its own EventQueue + Fabric seeded
  * by splitmix64 over (cluster seed, request id), so the collection
@@ -54,7 +56,7 @@ struct CollectionOutcome {
     agent::AgentStats agents;  ///< summed over the request's agents
     IngestStats ingest;
     net::FabricStats fabric;
-    std::string wire_log;  ///< when spec.net.record_wire_log
+    std::string wire_log;  ///< when NetSpec::record_wire_log
 };
 
 /**

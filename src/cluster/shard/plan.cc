@@ -75,7 +75,6 @@ planRequest(Cluster *cluster,
         spec.streaming = req.streaming;
         spec.decode_cache = req.decode_cache;
         spec.tnt_memo_bits = req.tnt_memo_bits;
-        spec.net = req.netSpec();
         if (req.streaming)
             spec.decode_threads = threads == 1 ? 1 : 2;
         else

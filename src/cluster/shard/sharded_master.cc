@@ -333,16 +333,22 @@ ShardedMaster::recordSessionMetrics(const ExperimentResult &result)
     metrics_->counter("uma.msr_writes")
         .add(result.backend_stats.msr_writes);
     // Decode fast-path telemetry (DESIGN.md §11): memo effectiveness
-    // and table footprint. Recorded here — before the collection plane
-    // strips non-report fields — so the registry sees it regardless of
-    // transport. Telemetry only; never part of any report comparison.
-    metrics_->counter("decode.cache.hits").add(result.decode_cache_hits);
-    metrics_->counter("decode.cache.misses")
-        .add(result.decode_cache_misses);
-    metrics_->counter("decode.cache.fast_bits")
-        .add(result.decode_cache_fast_bits);
-    metrics_->counter("decode.cache.bytes")
-        .add(result.decode_cache_bytes);
+    // and table footprint, summed over the session's decoded buffers.
+    // Each counter is added once per session, so all four exist even
+    // when nothing was decoded. Telemetry only; never part of any
+    // report comparison.
+    std::uint64_t hits = 0, misses = 0, fast_bits = 0, bytes = 0;
+    for (const auto &[core, dt] : result.decoded) {
+        const DecodeCacheStats &cs = dt.cache_stats;
+        hits += cs.memo_hits;
+        misses += cs.memo_misses;
+        fast_bits += cs.memo_fast_bits;
+        bytes += cs.memo_bytes + cs.block_cache_bytes;
+    }
+    metrics_->counter("decode.cache.hits").add(hits);
+    metrics_->counter("decode.cache.misses").add(misses);
+    metrics_->counter("decode.cache.fast_bits").add(fast_bits);
+    metrics_->counter("decode.cache.bytes").add(bytes);
     metrics_->counter("sessions.run").add();
 }
 

@@ -5,12 +5,15 @@
  * path at every thread count — same segments, function profiles,
  * ptwrites and block paths, in the same (collection) order. Also
  * pins the Testbed decode fan-out: identical ExperimentResult decode
- * fields for decode_threads 1, 2 and 8.
+ * fields and behaviour report for decode_threads 1, 2 and 8, with the
+ * result's decode equal to a serial decode of its raw traces.
  */
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "analysis/behavior_report.h"
 #include "analysis/testbed.h"
 #include "decode/flow_reconstructor.h"
 #include "decode/parallel_decoder.h"
@@ -110,6 +113,30 @@ TEST(ParallelDecode, EmptyAndSingleBufferInputs)
     EXPECT_EQ(out[0].second.branches_decoded, 0u);
 }
 
+/** A Testbed result's decode is the serial decode of its own raw
+ *  traces, with every block path already released. */
+void
+expectDecodeOfRawTraces(const ExperimentResult &r)
+{
+    auto binary = Testbed::binaryForApp("mc");
+    auto reference =
+        ParallelDecoder(binary.get(), {}, 1).decodeAll(r.raw_traces);
+    ASSERT_EQ(r.decoded.size(), reference.size());
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+        SCOPED_TRACE("buffer " + std::to_string(i));
+        EXPECT_EQ(r.decoded[i].first, reference[i].first);
+        EXPECT_TRUE(r.decoded[i].second.block_path.empty());
+        expectSameDecode(r.decoded[i].second, reference[i].second);
+    }
+}
+
+std::string
+reportOf(const ExperimentResult &r)
+{
+    return BehaviorReport::synthesize(*Testbed::binaryForApp("mc"),
+                                      r.decoded, r.switch_log);
+}
+
 TEST(ParallelDecode, TestbedResultsIdenticalAcrossDecodeThreads)
 {
     ExperimentSpec spec = sessionSpec();
@@ -118,6 +145,8 @@ TEST(ParallelDecode, TestbedResultsIdenticalAcrossDecodeThreads)
 
     spec.decode_threads = 1;
     ExperimentResult serial = Testbed::run(spec);
+    expectDecodeOfRawTraces(serial);
+    const std::string serial_report = reportOf(serial);
 
     for (int threads : {2, 8}) {
         SCOPED_TRACE("decode_threads=" + std::to_string(threads));
@@ -134,6 +163,8 @@ TEST(ParallelDecode, TestbedResultsIdenticalAcrossDecodeThreads)
         EXPECT_DOUBLE_EQ(parallel.accuracy_wall, serial.accuracy_wall);
         EXPECT_DOUBLE_EQ(parallel.path_precision,
                          serial.path_precision);
+        expectDecodeOfRawTraces(parallel);
+        EXPECT_EQ(reportOf(parallel), serial_report);
     }
 }
 

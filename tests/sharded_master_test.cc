@@ -155,6 +155,11 @@ compareSerialVsSharded(const std::vector<std::string> &manifests,
               manifests.size());
     EXPECT_EQ(registry.histogram("reconcile.latency_us").count(),
               manifests.size());
+    // Decode fast-path telemetry is summed from each session's decode.
+    EXPECT_GT(registry.counter("decode.cache.hits").value() +
+                  registry.counter("decode.cache.misses").value(),
+              0u);
+    EXPECT_GT(registry.counter("decode.cache.bytes").value(), 0u);
     std::uint64_t shard_reconciles = 0;
     for (int s = 0; s < sharded.shardCount(); ++s)
         shard_reconciles += registry

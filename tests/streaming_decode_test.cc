@@ -5,15 +5,19 @@
  * of the byte stream; the StreamingDecoder must match ParallelDecoder
  * for any region size, publish interleaving and worker count; and the
  * Testbed streaming path must report exactly the batch path's decode
- * fields. Labelled `concurrency` so the suite runs under TSan.
+ * fields and behaviour report, with the result's decode equal to a
+ * serial decode of its raw traces. Labelled `concurrency` so the suite
+ * runs under TSan.
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "analysis/behavior_report.h"
 #include "analysis/testbed.h"
 #include "decode/flow_reconstructor.h"
 #include "decode/parallel_decoder.h"
@@ -318,6 +322,30 @@ TEST(StreamingDecoder, AbandonedPipelineShutsDownCleanly)
     // Destructor without finish() must release the parked consumers.
 }
 
+/** A Testbed result's decode is the serial decode of its own raw
+ *  traces, with every block path already released. */
+void
+expectDecodeOfRawTraces(const ExperimentResult &r)
+{
+    auto binary = Testbed::binaryForApp("mc");
+    auto reference =
+        ParallelDecoder(binary.get(), {}, 1).decodeAll(r.raw_traces);
+    ASSERT_EQ(r.decoded.size(), reference.size());
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+        SCOPED_TRACE("buffer " + std::to_string(i));
+        EXPECT_EQ(r.decoded[i].first, reference[i].first);
+        EXPECT_TRUE(r.decoded[i].second.block_path.empty());
+        expectSameDecode(r.decoded[i].second, reference[i].second);
+    }
+}
+
+std::string
+reportOf(const ExperimentResult &r)
+{
+    return BehaviorReport::synthesize(*Testbed::binaryForApp("mc"),
+                                      r.decoded, r.switch_log);
+}
+
 TEST(StreamingTestbed, ResultsIdenticalToBatchAcrossConfigs)
 {
     ExperimentSpec spec = sessionSpec();
@@ -327,6 +355,8 @@ TEST(StreamingTestbed, ResultsIdenticalToBatchAcrossConfigs)
     ExperimentResult batch = Testbed::run(spec);
     EXPECT_FALSE(batch.streamed);
     EXPECT_GT(batch.decoded_branches, 0u);
+    expectDecodeOfRawTraces(batch);
+    const std::string batch_report = reportOf(batch);
 
     for (int threads : {1, 2, 8}) {
         for (std::uint64_t region_kb : {std::uint64_t{0},
@@ -352,6 +382,8 @@ TEST(StreamingTestbed, ResultsIdenticalToBatchAcrossConfigs)
             EXPECT_DOUBLE_EQ(stream.accuracy_wall, batch.accuracy_wall);
             EXPECT_DOUBLE_EQ(stream.path_precision,
                              batch.path_precision);
+            expectDecodeOfRawTraces(stream);
+            EXPECT_EQ(reportOf(stream), batch_report);
             // Raw collection is non-destructive under streaming.
             ASSERT_EQ(stream.raw_traces.size(), batch.raw_traces.size());
             for (std::size_t i = 0; i < stream.raw_traces.size(); ++i) {

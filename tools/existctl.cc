@@ -15,7 +15,11 @@
  *                        [--duplicate R] [--link-latency-us N]
  *       Run one node-level tracing session against a synthetic
  *       deployment of <app> and print the session statistics; with
- *       --report, also synthesize the human-readable behaviour report.
+ *       --report, also synthesize the human-readable behaviour report
+ *       from the session's own decode (the one behind the coverage
+ *       and accuracy rows; nothing is decoded twice). --period-ms
+ *       must be a number > 0 and --cores an integer >= 1; any other
+ *       value is rejected on stderr with exit status 2.
  *       --streaming overlaps trace collection with flow reconstruction
  *       (EXIST backend only), shrinking the trace-end-to-report-ready
  *       latency; the decoded output is bit-identical to batch.
@@ -26,12 +30,15 @@
  *       --shards N switches to the sharded control plane: a demo
  *       cluster deploys <app>, a stream of anomaly requests reconciles
  *       across N API-server shards, and the merged reports print.
- *       --net routes the session result through the collection plane
- *       (node trace agent -> master ingest over the simulated fabric,
- *       cluster/collection.h) at the given loss/reorder/duplicate
- *       rates and link latency. The printed results are byte-identical
- *       to the in-process hand-off whenever the transfer completes
- *       within the retry budget; transport telemetry goes to stderr.
+ *       --net routes the session result's collection-borne slice
+ *       (function profiles plus the scalar digest; this path keeps no
+ *       raw traces) through the collection plane (node trace agent ->
+ *       master ingest over the simulated fabric, cluster/collection.h)
+ *       at the given loss/reorder/duplicate rates and link latency.
+ *       The report is synthesized node-side, so stdout is
+ *       byte-identical to the in-process hand-off whenever the payload
+ *       or its summary arrives, even DEGRADED; transport telemetry
+ *       goes to stderr.
  *
  *   existctl cluster <manifest>... [--threads N]
  *       Stand up a demo ten-node cluster with the cloud applications
@@ -86,8 +93,11 @@
  */
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -99,7 +109,6 @@
 #include "cluster/metrics.h"
 #include "cluster/shard/sharded_master.h"
 #include "core/exist_backend.h"
-#include "decode/parallel_decoder.h"
 #include "durability/crash_point.h"
 #include "durability/journal.h"
 #include "durability/recovery.h"
@@ -182,6 +191,39 @@ printReports(ShardedMaster &master, const std::vector<std::uint64_t> &ids)
     }
     std::printf("\nOSS: %zu objects, ODPS: %zu rows\n",
                 master.oss().objectCount(), master.odps().rowCount());
+}
+
+/** Reject a bad flag value the way a missing one is: one stderr
+ *  line and exit 2, before anything has run. */
+[[noreturn]] void
+badValue(const std::string &flag, const char *text, const char *want)
+{
+    std::fprintf(stderr, "existctl: %s wants %s, got '%s'\n",
+                 flag.c_str(), want, text);
+    std::exit(2);
+}
+
+/** All of `text` as a finite number > 0, or badValue(). */
+double
+positiveArg(const std::string &flag, const char *text)
+{
+    char *end = nullptr;
+    double v = std::strtod(text, &end);
+    if (end == text || *end != '\0' || !(v > 0.0) || !std::isfinite(v))
+        badValue(flag, text, "a number > 0");
+    return v;
+}
+
+/** All of `text` as an integer >= 1 that fits an int, or badValue(). */
+int
+countArg(const std::string &flag, const char *text)
+{
+    char *end = nullptr;
+    long v = std::strtol(text, &end, 10);
+    if (end == text || *end != '\0' || v < 1 ||
+        v > std::numeric_limits<int>::max())
+        badValue(flag, text, "an integer >= 1");
+    return static_cast<int>(v);
 }
 
 /** Render the collection-plane knobs as manifest keys. */
@@ -421,13 +463,13 @@ cmdTrace(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--period-ms")
-            period_ms = std::atof(next());
+            period_ms = positiveArg(arg, next());
         else if (arg == "--budget-mb")
             budget_mb = std::strtoull(next(), nullptr, 10);
         else if (arg == "--backend")
             backend = next();
         else if (arg == "--cores")
-            cores = std::atoi(next());
+            cores = countArg(arg, next());
         else if (arg == "--clients")
             clients = std::atoi(next());
         else if (arg == "--report")
@@ -483,7 +525,6 @@ cmdTrace(int argc, char **argv)
         period_ms * static_cast<double>(kCyclesPerMs));
     spec.session.budget_mb = budget_mb;
     spec.decode = true;
-    spec.keep_traces = report;
     spec.decode_threads = threads;
     spec.streaming = streaming;
     spec.decode_cache = decode_cache;
@@ -539,18 +580,13 @@ cmdTrace(int argc, char **argv)
     note("existctl", "report ready %.2f ms after trace end (%s decode)",
          r.report_latency_s * 1e3, r.streamed ? "streaming" : "batch");
 
-    if (report && !r.raw_traces.empty()) {
-        auto binary = Testbed::binaryForApp(app);
-        DecodeOptions ropts;
-        ropts.block_cache = decode_cache;
-        ropts.tnt_memo_bits = tnt_memo_bits;
-        ParallelDecoder decoder(binary.get(), ropts, threads);
-        std::vector<std::pair<CoreId, DecodedTrace>> decoded =
-            decoder.decodeAll(r.raw_traces);
+    // Synthesized from the session's own decode, the one behind the
+    // coverage and Wall accuracy rows above.
+    if (report && !r.decoded.empty())
         std::printf("\n%s", BehaviorReport::synthesize(
-                                *binary, decoded, r.switch_log)
+                                *Testbed::binaryForApp(app), r.decoded,
+                                r.switch_log)
                                 .c_str());
-    }
     return 0;
 }
 
