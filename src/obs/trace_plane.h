@@ -23,7 +23,7 @@
  * caller-supplied keys — so sim-side ids derive only from deterministic
  * quantities (seed, node, stream, seq) and are stable across runs of
  * the same seed.  The plane is write-only telemetry: nothing in
- * report-producing code may read it back (determinism-lint rule
+ * report-producing code may read it back (tools/analyzer rule
  * `obs-read-back`), so report bytes are identical with spans on or off.
  */
 #ifndef EXIST_OBS_TRACE_PLANE_H

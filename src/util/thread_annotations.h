@@ -19,7 +19,8 @@
  * nesting orders — that neither TSan nor the static analysis can see.
  *
  * The raw std::mutex family is banned in src/ outside this header and
- * the validator itself; tools/determinism_lint.py enforces that.
+ * the validator itself; tools/analyzer (rule raw-locking) enforces
+ * that.
  */
 #ifndef EXIST_UTIL_THREAD_ANNOTATIONS_H
 #define EXIST_UTIL_THREAD_ANNOTATIONS_H

@@ -1,13 +1,13 @@
-"""The shared AST-index model every frontend lowers into.
+"""The shared AST-index model the frontend lowers into.
 
-A frontend (native lexer/parser or Clang AST-dump) turns one source
-file into a `TranslationUnit` of *facts*: classes with their members
-and annotations, functions with their lock operations, calls, writes,
+The frontend (frontend_native.py) turns one source file into a
+`TranslationUnit` of *facts*: classes with their members and
+annotations, functions with their lock operations, calls, writes,
 blocking operations and container iterations, enums with their
-enumerators, and callback registrations.  The `Index` merges the
+enumerators, callback registrations, and the lexical facts (token
+spellings that are findings by themselves).  The `Index` merges the
 per-file facts into one whole-program view and resolves the call
-graph; the check passes only ever see the index, so they are frontend
-agnostic by construction.
+graph; the check passes only ever see the index.
 
 Everything here is plain dataclasses that round-trip through
 `to_dict`/`from_dict`, which is what makes the per-file fact cache
@@ -208,7 +208,9 @@ class TranslationUnit:
     enums: list[EnumDef] = field(default_factory=list)
     mutex_decls: list[MutexDecl] = field(default_factory=list)  # non-member
     callback_regs: list[CallbackReg] = field(default_factory=list)
-    raw_sync_uses: list[tuple] = field(default_factory=list)  # (token, line)
+    # (rule, line, spelling): one per rule and line; the checks decide
+    # where each rule applies.
+    lexical: list[tuple] = field(default_factory=list)
     allow_lines: dict = field(default_factory=dict)  # line -> {rules}
     aliases: dict[str, str] = field(default_factory=dict)  # using X = Y
 
@@ -234,7 +236,7 @@ class TranslationUnit:
         tu.enums = [EnumDef(**e) for e in d["enums"]]
         tu.mutex_decls = [MutexDecl(**m) for m in d["mutex_decls"]]
         tu.callback_regs = [CallbackReg(**r) for r in d["callback_regs"]]
-        tu.raw_sync_uses = [tuple(u) for u in d["raw_sync_uses"]]
+        tu.lexical = [tuple(u) for u in d["lexical"]]
         tu.allow_lines = {int(k): set(v) for k, v in d["allow_lines"].items()}
         tu.aliases = dict(d["aliases"])
         return tu
@@ -261,12 +263,14 @@ def _fn_from_dict(f):
 @dataclass
 class Finding:
     check: str        # check module name ("lock-rank", ...)
-    rule: str         # specific rule id (shared with determinism_lint)
+    rule: str         # specific rule id (what lint-allow names)
     file: str
     line: int
     message: str
     function: str = ""
-    allowlisted: bool = False
+    # "" = live; "allowlisted" = a tools/analysis_allow.txt entry;
+    # "lint-allow" = an inline comment on or above the line.
+    waived: str = ""
 
     def to_dict(self):
         return dataclasses.asdict(self)

@@ -1,14 +1,13 @@
-"""Check 4: determinism dataflow.
+"""Check 4: determinism.
 
-Supersedes the unordered-iteration regexes in determinism_lint.py
-with an AST-accurate pass that is alias-aware (follows `using`
-aliases to the underlying container) and taint-aware (iteration order
-escaping through a collected-into local or a return value is still a
-violation, even when the serialization loop itself runs over an
-innocent std::vector).
+Everything that keeps reports byte-identical at the source level.
+Two kinds of rule share one check:
 
-Rules (ids shared with determinism_lint.py where they overlap, so a
-single allowlist waiver covers both layers):
+Dataflow rules over the parsed functions, alias-aware (follows
+`using` aliases to the underlying container) and taint-aware
+(iteration order escaping through a collected-into local or a return
+value is still a violation, even when the serialization loop itself
+runs over an innocent std::vector):
 
   unordered-iteration      iterating an unordered container either
                            (a) inside the bit-identical-output
@@ -16,10 +15,38 @@ single allowlist waiver covers both layers):
                            body feeds a serialization sink
   unordered-taint-return   returning a container populated in
                            unordered iteration order without sorting
-  pointer-keyed-container  map/set keyed by pointer value
 
 Mitigation is recognized in-function: passing the collected container
 to std::sort (or member .sort()) clears the taint.
+
+Lexical rules, where a spelling alone is the finding (the frontend
+records every match; LEXICAL_RULES below scopes each one):
+
+  raw-rand                 rand()/srand()/drand48() and friends,
+                           std::random_device, std engines
+                           (mt19937, ranlux*, ...) outside
+                           util/rng.h: randomness must flow through
+                           exist::Rng streams so results depend only
+                           on (seed, id), never on draw order
+  time-seeded-rng          a seed/Rng/rng expression reading the wall
+                           clock (time(), clock(), *_clock::now) on
+                           the same line: every run would differ
+  raw-file-io              fopen/freopen/std::ofstream/std::fstream
+                           outside src/durability/ and the cluster
+                           storage layer: durable bytes must flow
+                           through the checksummed, crash-point-
+                           instrumented WAL/snapshot code
+  obs-read-back            the self-trace plane's read side
+                           (obs::snapshot, chromeTraceJson,
+                           flightDump*, the obs counters) outside
+                           src/obs/: span emission must never feed
+                           report bytes
+  pointer-keyed-container  a std::{unordered_,}{map,set,multimap,
+                           multiset} keyed by a raw pointer anywhere
+                           in the bit-identical-output subsystems
+                           (members, parameters, locals, statics,
+                           aliases): addresses vary across runs, so
+                           the order does too
 """
 
 from __future__ import annotations
@@ -28,15 +55,43 @@ import re
 
 from ast_model import Finding
 
-# Subsystems whose outputs must be bit-identical across runs
-# (mirrors ORDERED_OUTPUT_DIRS in determinism_lint.py).
+# Subsystems whose outputs must be bit-identical across runs.
 ORDERED_OUTPUT_DIRS = (
     "src/analysis/", "src/cluster/", "src/decode/", "src/core/",
     "src/hwtrace/",
 )
+RNG_HOME = "src/util/rng.h"
+# The durability plane (WAL + snapshots own all persistent bytes) and
+# the simulated cluster storage layer.
+FILE_IO_HOMES = ("src/durability/", "src/cluster/storage")
+# The self-observability plane reads itself back; CLI, bench and test
+# consumers live outside src/.
+OBS_READ_HOMES = ("src/obs/",)
 
-_PTR_KEY_RE = re.compile(
-    r"(?:unordered_)?(?:map|set|multimap|multiset)<[^,>]*\*")
+# rule -> (does it apply to this path?, why a match is a finding)
+LEXICAL_RULES = {
+    "raw-rand": (
+        lambda path: path != RNG_HOME,
+        "outside util/rng.h; draw from an exist::Rng stream so results "
+        "depend only on (seed, id)"),
+    "time-seeded-rng": (
+        lambda path: True,
+        "seeds an RNG from the wall clock; every run would differ"),
+    "raw-file-io": (
+        lambda path: not path.startswith(FILE_IO_HOMES),
+        "outside src/durability/ and cluster storage; durable bytes "
+        "must go through the WAL/snapshot code that recovery sees"),
+    "obs-read-back": (
+        lambda path: not path.startswith(OBS_READ_HOMES),
+        "reads the self-trace plane back outside src/obs/; span "
+        "timing must never feed report bytes"),
+    "pointer-keyed-container": (
+        lambda path: path.startswith(ORDERED_OUTPUT_DIRS),
+        "is keyed by pointer value in a bit-identical-output "
+        "subsystem; addresses vary across runs, so any ordered walk "
+        "is nondeterministic"),
+}
+
 _ID_RE = re.compile(r"[A-Za-z_]\w*")
 
 
@@ -112,17 +167,11 @@ def run(index) -> list[Finding]:
                     function=q))
                 break
 
-    for c in index.classes.values():
-        if not c.file.startswith(ORDERED_OUTPUT_DIRS):
-            continue
-        for m in c.members:
-            t = index.resolve_type(m.type_text)
-            if _PTR_KEY_RE.search(t):
+    for tu in index.tus:
+        for rule, line, spelling in tu.lexical:
+            scope = LEXICAL_RULES.get(rule)
+            if scope is not None and scope[0](tu.path):
                 findings.append(Finding(
-                    check="determinism", rule="pointer-keyed-container",
-                    file=c.file, line=m.line,
-                    message=f"member '{c.qname}::{m.name}' is keyed "
-                            "by pointer value; addresses vary across "
-                            "runs, so any ordered walk is "
-                            "nondeterministic"))
+                    check="determinism", rule=rule, file=tu.path,
+                    line=line, message=f"{spelling} {scope[1]}"))
     return findings

@@ -13,8 +13,7 @@ Rules
   unranked-mutex    an exist::Mutex declared without a LockRank
   lock-rank-order   acquiring rank <= a rank already held
   raw-locking       std::mutex & friends outside the wrapper homes
-                    (shared rule id with determinism_lint.py so one
-                    waiver covers both layers)
+                    (a lexical fact: the spelling is the finding)
 """
 
 from __future__ import annotations
@@ -56,12 +55,13 @@ def run(index) -> list[Finding]:
     for tu in index.tus:
         if tu.path in WRAPPER_HOMES:
             continue
-        for tok, line in tu.raw_sync_uses:
-            findings.append(Finding(
-                check="lock-rank", rule="raw-locking",
-                file=tu.path, line=line,
-                message=f"raw {tok} bypasses exist::Mutex and escapes "
-                        "rank enforcement; use the util wrappers"))
+        for rule, line, spelling in tu.lexical:
+            if rule == "raw-locking":
+                findings.append(Finding(
+                    check="lock-rank", rule=rule, file=tu.path, line=line,
+                    message=f"raw {spelling} bypasses exist::Mutex and "
+                            "escapes rank enforcement; use the util "
+                            "wrappers"))
 
     seen: set[tuple] = set()
 

@@ -1,33 +1,31 @@
 #!/usr/bin/env python3
 """exist-analyzer: whole-program static analysis for the EXIST tree.
 
-Five project-specific checks over a shared whole-program index
-(DESIGN.md §13):
+The one static gate for the source rules behind byte-identical
+reports: five project-specific checks over a shared whole-program
+index (DESIGN.md §13):
 
   lock-rank    static acquires-while-holding graph vs. the LockRank
-               hierarchy; unranked mutexes; wrapper bypasses
+               hierarchy; unranked mutexes; raw std locks outside the
+               wrappers (raw-locking)
   guarded-by   members written in critical sections must carry
                EXIST_GUARDED_BY
   event-block  no blocking primitive reachable from EventQueue
                callbacks or CommitLog sequenced actions
   determinism  unordered-container iteration order must not taint
-               serialized output (alias- and dataflow-aware successor
-               of determinism_lint.py's regex rules)
+               serialized output, plus the lexical rules raw-rand,
+               time-seeded-rng, raw-file-io, obs-read-back and
+               pointer-keyed-container
   exhaustive   every MsgType / WAL RecordType enumerator handled in
                every protocol role (encode/decode/name/replay)
 
-Driving: the file list comes from compile_commands.json when present
-(plus headers), else a glob of src/.  Per-file lowered facts are
-cached keyed by source-content hash, so warm runs re-parse nothing.
+Driving: every .cc/.h/.cpp/.hpp file under the given paths (default
+src/) is lowered by the bundled structural frontend
+(frontend_native.py), which needs no toolchain.  Per-file lowered
+facts are cached keyed by source-content hash, so warm runs re-parse
+nothing.
 
-Frontends: `--frontend native` (default) lowers with the bundled
-structural parser and needs no toolchain; `--frontend clang` lowers
-from `clang -Xclang -ast-dump=json` dumps (cached the same way) where
-clang is installed, and is cross-checked against the native facts.
-
-Suppression uses the same two layers as determinism_lint.py, and the
-overlapping rule ids are spelled identically, so one waiver covers
-both tools:
+Suppression, narrowest first:
   * inline `// lint-allow: <rule>` on (or directly above) the line;
   * a `path:rule` entry in tools/analysis_allow.txt with a
     justification comment.
@@ -42,6 +40,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 import time
 
@@ -56,13 +55,9 @@ REPO_ROOT = os.path.dirname(os.path.dirname(
 
 CACHE_SCHEMA = 1  # bump to invalidate every cached fact file
 
-CHECK_FROM_FIXTURE = {
-    "lock_rank": "lock-rank",
-    "guarded_by": "guarded-by",
-    "event_block": "event-block",
-    "determinism": "determinism",
-    "exhaustive": "exhaustive",
-}
+# bad_<check>[_<rule>]_<n>.cc / good_<check>[_<what>]_<n>.cc
+FIXTURE_RE = re.compile(r"(bad|good)_(%s)(?:_(\w+?))?_\d+\.cc" % "|".join(
+    c.replace("-", "_") for c in ALL_CHECKS))
 
 
 def rel_path(path: str, root: str) -> str:
@@ -71,31 +66,16 @@ def rel_path(path: str, root: str) -> str:
 
 # --- file discovery --------------------------------------------------------
 
-def discover_files(root: str, compdb_path: str | None,
-                   roots: list[str]) -> list[str]:
+def discover_files(roots: list[str]) -> list[str]:
     """Absolute paths of every file to lower, sorted."""
     files: set[str] = set()
     exts = (".cc", ".cpp", ".h", ".hpp")
-    if compdb_path and os.path.exists(compdb_path):
-        try:
-            with open(compdb_path, encoding="utf-8") as f:
-                for entry in json.load(f):
-                    p = entry.get("file", "")
-                    if not os.path.isabs(p):
-                        p = os.path.join(entry.get("directory", root), p)
-                    p = os.path.realpath(p)
-                    if any(os.path.abspath(r) == os.path.commonpath(
-                            [os.path.abspath(r), p]) for r in roots):
-                        files.add(p)
-        except (json.JSONDecodeError, OSError) as e:
-            sys.stderr.write(f"exist-analyzer: unreadable compdb "
-                             f"{compdb_path}: {e}\n")
     for r in roots:
         if os.path.isfile(r):
             files.add(os.path.abspath(r))
             continue
         for dirpath, _dirs, names in os.walk(r):
-            for name in sorted(names):
+            for name in names:
                 if name.endswith(exts):
                     files.add(os.path.join(dirpath, name))
     return sorted(files)
@@ -104,10 +84,9 @@ def discover_files(root: str, compdb_path: str | None,
 # --- fact cache ------------------------------------------------------------
 
 class FactCache:
-    def __init__(self, cache_dir: str | None, frontend_name: str,
-                 frontend_version: int):
+    def __init__(self, cache_dir: str | None):
         self.dir = cache_dir
-        self.tag = f"{frontend_name}-v{frontend_version}-s{CACHE_SCHEMA}"
+        self.tag = f"v{frontend_native.FRONTEND_VERSION}-s{CACHE_SCHEMA}"
         self.hits = 0
         self.misses = 0
         if self.dir:
@@ -147,8 +126,8 @@ class FactCache:
             pass  # cache is best-effort
 
 
-def lower_files(files: list[str], root: str, cache: FactCache,
-                frontend) -> list[TranslationUnit]:
+def lower_files(files: list[str], root: str,
+                cache: FactCache) -> list[TranslationUnit]:
     tus = []
     for path in files:
         try:
@@ -162,7 +141,7 @@ def lower_files(files: list[str], root: str, cache: FactCache,
         if tu is None:
             cache.misses += 1
             text = raw.decode("utf-8", errors="replace")
-            tu = frontend.parse_file(rel_path(path, root), text)
+            tu = frontend_native.parse_file(rel_path(path, root), text)
             cache.store(key, tu)
         tus.append(tu)
     return tus
@@ -193,13 +172,13 @@ def apply_suppressions(findings: list[Finding], index: Index,
     for fd in findings:
         if (fd.file, fd.rule) in allowlist or \
                 (fd.file, fd.check) in allowlist:
-            fd.allowlisted = True
+            fd.waived = "allowlisted"
             continue
         lines = index.allow_lines.get(fd.file, {})
         for ln in (fd.line, fd.line - 1):
             rules = lines.get(ln)
             if rules and (fd.rule in rules or fd.check in rules):
-                fd.allowlisted = True
+                fd.waived = "lint-allow"
                 break
 
 
@@ -214,10 +193,16 @@ def run_checks(index: Index, which: list[str]) -> list[Finding]:
 
 
 def self_test(root: str, which: list[str]) -> int:
-    """Every bad_<check>_*.cc fixture must trip its check; every
-    good_<check>_*.cc must stay clean for that check.  Each fixture is
-    analyzed as its own single-file program so fixtures cannot mask
-    each other."""
+    """Check every fixture under fixtures/, each analyzed as its own
+    single-file program so fixtures cannot mask each other:
+
+      bad_<check>_<n>.cc          must trip <check>
+      bad_<check>_<rule>_<n>.cc   must trip <rule> of <check>
+      good_<check>[_<what>]_<n>.cc
+                                  must trip nothing, and each inline
+                                  lint-allow in it must waive a finding
+
+    Every check needs at least one passing bad and good fixture."""
     fdir = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         "fixtures")
     names = sorted(n for n in os.listdir(fdir) if n.endswith(".cc")) \
@@ -228,14 +213,13 @@ def self_test(root: str, which: list[str]) -> int:
     failures = []
     covered: dict[str, set] = {c: set() for c in ALL_CHECKS}
     for name in names:
-        stem = name.rsplit(".", 1)[0]
-        kind, rest = (stem.split("_", 1) + [""])[:2]
-        check = next((c for k, c in CHECK_FROM_FIXTURE.items()
-                      if rest.startswith(k)), None)
-        if kind not in ("bad", "good") or check is None:
-            failures.append(f"{name}: want bad|good_<check>_<n>.cc with "
-                            f"check in {sorted(CHECK_FROM_FIXTURE)}")
+        m = FIXTURE_RE.fullmatch(name)
+        if m is None:
+            failures.append(f"{name}: want bad_<check>[_<rule>]_<n>.cc "
+                            f"or good_<check>[_<what>]_<n>.cc with check "
+                            f"in {sorted(ALL_CHECKS)}")
             continue
+        kind, check = m.group(1), m.group(2).replace("_", "-")
         path = os.path.join(fdir, name)
         with open(path, encoding="utf-8") as f:
             text = f.read()
@@ -243,19 +227,30 @@ def self_test(root: str, which: list[str]) -> int:
         index = Index([tu])
         findings = run_checks(index, which)
         apply_suppressions(findings, index, set())
-        hits = [fd for fd in findings
-                if fd.check == check and not fd.allowlisted]
-        if kind == "bad" and not hits:
-            got = sorted({f"{fd.check}/{fd.rule}" for fd in findings})
-            failures.append(f"{name}: expected a {check} finding, got "
-                            f"{got or 'nothing'}")
-        elif kind == "good" and hits:
-            failures.append(
-                f"{name}: expected clean for {check}, got " +
-                "; ".join(f"{fd.rule}@{fd.line}: {fd.message}"
-                          for fd in hits))
+        live = [fd for fd in findings if not fd.waived]
+        if kind == "bad":
+            rule = (m.group(3) or "").replace("_", "-")
+            want = f"{check}/{rule}" if rule else check
+            if not any(fd.check == check and rule in ("", fd.rule)
+                       for fd in live):
+                got = sorted({f"{fd.check}/{fd.rule}" for fd in live})
+                failures.append(f"{name}: expected a {want} finding, "
+                                f"got {got or 'nothing'}")
+                continue
         else:
-            covered[check].add(kind)
+            stale = sorted(
+                ln for ln in tu.allow_lines
+                if not any(fd.waived and fd.line in (ln, ln + 1)
+                           for fd in findings))
+            if live or stale:
+                failures.append(
+                    f"{name}: expected clean, got " + "; ".join(
+                        [f"{fd.check}/{fd.rule}@{fd.line}: {fd.message}"
+                         for fd in live] +
+                        [f"lint-allow@{ln} waives nothing"
+                         for ln in stale]))
+                continue
+        covered[check].add(kind)
     for check, kinds in covered.items():
         missing = {"bad", "good"} - kinds
         if missing:
@@ -277,9 +272,6 @@ def main(argv):
                     help="files or directories to analyze (default: src/)")
     ap.add_argument("--root", default=REPO_ROOT,
                     help="repository root (default: auto)")
-    ap.add_argument("--compdb", default=None,
-                    help="compile_commands.json "
-                         "(default: <root>/compile_commands.json)")
     ap.add_argument("--cache-dir", default=None,
                     help="fact-cache directory keyed by source content "
                          "hash (default: <root>/.analyzer-cache)")
@@ -288,15 +280,14 @@ def main(argv):
                     help="default: <root>/tools/analysis_allow.txt")
     ap.add_argument("--json", metavar="OUT", default=None,
                     help="also write the findings as a JSON artifact")
-    ap.add_argument("--frontend", choices=("native", "clang"),
-                    default="native")
     ap.add_argument("--checks", default=",".join(ALL_CHECKS),
                     help="comma-separated subset of: " +
                          ", ".join(ALL_CHECKS))
     ap.add_argument("--self-test", action="store_true",
                     help="verify every check against its pass/fail "
                          "fixtures under tools/analyzer/fixtures/")
-    ap.add_argument("--show-allowlisted", action="store_true")
+    ap.add_argument("--show-allowlisted", action="store_true",
+                    help="also print the waived findings")
     ap.add_argument("--stats", action="store_true")
     args = ap.parse_args(argv)
 
@@ -311,57 +302,46 @@ def main(argv):
     if args.self_test:
         return self_test(root, which)
 
-    if args.frontend == "clang":
-        import frontend_clang
-        frontend = frontend_clang
-        if not frontend_clang.clang_available():
-            sys.stderr.write(
-                "exist-analyzer: --frontend clang requested but no "
-                "clang binary found; install clang or use the native "
-                "frontend\n")
-            return 2
-    else:
-        frontend = frontend_native
-
     roots = [os.path.abspath(p) for p in args.paths] or \
         [os.path.join(root, "src")]
     for r in roots:
         if not os.path.exists(r):
             sys.stderr.write(f"exist-analyzer: no such path: {r}\n")
             return 2
-    compdb = args.compdb or os.path.join(root, "compile_commands.json")
     cache_dir = None if args.no_cache else (
         args.cache_dir or os.path.join(root, ".analyzer-cache"))
     allow_path = args.allowlist or os.path.join(
         root, "tools", "analysis_allow.txt")
 
     t0 = time.monotonic()
-    files = discover_files(root, compdb, roots)
-    cache = FactCache(cache_dir, args.frontend,
-                      frontend.FRONTEND_VERSION)
-    tus = lower_files(files, root, cache, frontend)
+    files = discover_files(roots)
+    cache = FactCache(cache_dir)
+    tus = lower_files(files, root, cache)
     t_lower = time.monotonic() - t0
     index = Index(tus)
     findings = run_checks(index, which)
     apply_suppressions(findings, index, load_allowlist(allow_path))
     t_total = time.monotonic() - t0
 
-    live = [f for f in findings if not f.allowlisted]
-    waived = [f for f in findings if f.allowlisted]
+    live = [f for f in findings if not f.waived]
+    listed = sum(f.waived == "allowlisted" for f in findings)
+    inline = sum(f.waived == "lint-allow" for f in findings)
+    waived = (f"{listed} allowlisted finding(s), "
+              f"{inline} waived by lint-allow")
     shown = findings if args.show_allowlisted else live
     for fd in shown:
-        tag = " (allowlisted)" if fd.allowlisted else ""
+        tag = f" ({fd.waived})" if fd.waived else ""
         print(f"{fd.file}:{fd.line}: [{fd.check}/{fd.rule}]{tag} "
               f"{fd.message}")
 
     if args.json:
         artifact = {
             "schema": CACHE_SCHEMA,
-            "frontend": args.frontend,
             "files": len(files),
             "checks": which,
             "findings": [f.to_dict() for f in findings],
-            "summary": {"live": len(live), "allowlisted": len(waived)},
+            "summary": {"live": len(live), "allowlisted": listed,
+                        "lint_allow": inline},
             "timing": {"lower_s": round(t_lower, 3),
                        "total_s": round(t_total, 3)},
             "cache": {"hits": cache.hits, "misses": cache.misses},
@@ -377,12 +357,12 @@ def main(argv):
     if live:
         sys.stderr.write(
             f"exist-analyzer: {len(live)} finding(s) "
-            f"({len(waived)} allowlisted); fix them, add an inline "
+            f"({waived}); fix them, add an inline "
             "`// lint-allow: <rule>` with a justification, or extend "
             "tools/analysis_allow.txt\n")
         return 1
     print(f"exist-analyzer: clean — {len(files)} files, "
-          f"{len(waived)} allowlisted finding(s), {t_total:.2f}s")
+          f"{waived}, {t_total:.2f}s")
     return 0
 
 

@@ -1,5 +1,5 @@
 // analyzer-virtual-path: src/cluster/fixture_det_taint.cc
-// The taint the regex lint cannot see: the serialization loop runs
+// The taint a line-by-line scan cannot see: the serialization loop runs
 // over an innocent vector, but the vector was *populated* in
 // unordered iteration order and never sorted.
 namespace exist {

@@ -10,8 +10,8 @@ class WaitFreePlane {
  public:
   void instant(const char *name, unsigned long corr) {
     unsigned long slot = cursor_.load();
-    names_[slot & 7] = name;     // lint-allow: unguarded-member
-    corrs_[slot & 7] = corr;     // lint-allow: unguarded-member
+    names_[slot & 7] = name;
+    corrs_[slot & 7] = corr;
     cursor_.store(slot + 1);
   }
 

@@ -10,9 +10,12 @@ declarations with their annotation macros, function bodies with lock
 operations, call expressions, lambdas, range-for loops, writes, and
 enum mentions.
 
-It is the fallback (and local-development) frontend; when a Clang
-binary is available the Clang AST-dump frontend (frontend_clang.py)
-lowers into the identical fact schema and cross-checks this one.
+Before parsing, one pass over the tokens records the lexical facts:
+spellings that are findings by themselves wherever their rule applies
+(a raw std RNG, a wall-clock seed, raw file IO, an obs read-back call,
+a pointer-keyed container, a raw std lock).  The lexer has already
+dropped comments and string literals, so neither can match.
+
 Unknown syntax never crashes the parser: anything unrecognized simply
 contributes no facts, and the fixture suite (`--self-test`) pins the
 constructs the checks rely on.
@@ -30,10 +33,10 @@ from ast_model import (
 )
 
 # Bump to invalidate cached facts when the lowering changes.
-FRONTEND_VERSION = 4
+FRONTEND_VERSION = 5
 
 ALLOW_RE = re.compile(r"lint-allow:\s*([\w,\- ]+)")
-VPATH_RE = re.compile(r"(?:lint|analyzer)-virtual-path:\s*(\S+)")
+VPATH_RE = re.compile(r"analyzer-virtual-path:\s*(\S+)")
 
 KEYWORDS = {
     "if", "for", "while", "switch", "return", "sizeof", "case", "do",
@@ -105,6 +108,29 @@ NOT_A_REGISTRATION = MUTATING_TAILS | {
 # caller's context.
 THREAD_SPAWN_TAILS = {"thread", "async"}
 
+# Spellings behind the lexical facts (see _scan_lexical).
+RAW_RAND_CALLS = {
+    "rand", "srand", "rand_r", "drand48", "lrand48", "mrand48",
+    "srand48", "random",
+}
+RAW_RAND_ENGINES = {
+    "random_device", "mt19937", "mt19937_64", "minstd_rand",
+    "minstd_rand0", "knuth_b", "default_random_engine",
+}  # plus std::ranlux*
+SEED_PREFIXES = ("seed", "srand", "Rng", "rng")
+TIME_READS = ("time ( )", "time ( NULL )", "time ( nullptr )",
+              "time ( 0 )", "clock ( )")  # space-joined tokens
+WALL_CLOCKS = {"steady_clock", "system_clock", "high_resolution_clock"}
+FILE_IO_CALLS = {"fopen", "freopen"}
+FILE_IO_STREAMS = {"ofstream", "fstream"}
+OBS_READ_CALLS = {"chromeTraceJson", "flightDumpText", "flightDumpTo"}
+OBS_READ_MEMBERS = {
+    "snapshot", "eventsRecorded", "threadsRegistered", "threadsDropped",
+}
+KEYED_CONTAINERS = {
+    "map", "set", "multimap", "multiset", "unordered_map",
+    "unordered_set", "unordered_multimap", "unordered_multiset",
+}
 RAW_SYNC = {
     "mutex", "timed_mutex", "recursive_mutex", "shared_mutex",
     "shared_timed_mutex", "lock_guard", "unique_lock", "scoped_lock",
@@ -122,8 +148,8 @@ def parse_file(rel_path: str, text: str) -> TranslationUnit:
 class _Parser:
     def __init__(self, rel_path: str, text: str):
         self.tokens, self.comments = lex(text)
-        # Honor a fixture's virtual path (same convention as
-        # determinism_lint) so path-scoped checks are testable.
+        # Honor a fixture's virtual path so path-scoped checks are
+        # testable without planting bad code under src/.
         for ln in sorted(self.comments)[:3]:
             if m := VPATH_RE.search(self.comments[ln]):
                 rel_path = m.group(1)
@@ -162,19 +188,96 @@ class _Parser:
         return end, "eof"
 
     def run(self) -> TranslationUnit:
-        self._scan_raw_sync()
+        self._scan_lexical()
         self._parse_scope(0, len(self.tokens), ns=[], cls=None)
         return self.tu
 
-    def _scan_raw_sync(self):
+    # -- lexical facts ------------------------------------------------------
+
+    def _scan_lexical(self):
+        """Record one (rule, line, spelling) fact per rule and line for
+        every spelling a lexical rule bans.  Path-blind: the facts are
+        cached by content, and the checks own each rule's scope."""
         toks = self.tokens
-        for k in range(len(toks) - 2):
-            if (toks[k].kind == ID and toks[k].text == "std"
-                    and toks[k + 1].text == "::"
-                    and toks[k + 2].kind == ID
-                    and toks[k + 2].text in RAW_SYNC):
-                self.tu.raw_sync_uses.append(
-                    ("std::" + toks[k + 2].text, toks[k].line))
+        n = len(toks)
+        seen: set[tuple] = set()
+
+        def text(k):
+            return toks[k].text if k < n else ""
+
+        def add(rule, k, spelling):
+            if (rule, toks[k].line) not in seen:
+                seen.add((rule, toks[k].line))
+                self.tu.lexical.append((rule, toks[k].line, spelling))
+
+        for k, t in enumerate(toks):
+            if t.kind != ID:
+                continue
+            name = t.text
+            if text(k + 1) == "(":
+                if name in RAW_RAND_CALLS:
+                    add("raw-rand", k, name + "()")
+                if name in FILE_IO_CALLS:
+                    add("raw-file-io", k, name + "()")
+                if name in OBS_READ_CALLS:
+                    add("obs-read-back", k, name + "()")
+            if name.startswith(SEED_PREFIXES) and \
+                    (clock := self._wall_clock_after(k)):
+                add("time-seeded-rng", k, clock)
+            if text(k + 1) != "::" or k + 2 >= n or toks[k + 2].kind != ID:
+                continue
+            member = toks[k + 2].text
+            if name == "obs" and member in OBS_READ_MEMBERS and \
+                    text(k + 3) == "(":
+                add("obs-read-back", k, f"obs::{member}()")
+            if name != "std":
+                continue
+            spelling = "std::" + member
+            if member in RAW_SYNC:
+                add("raw-locking", k, spelling)
+            if member in RAW_RAND_ENGINES or member.startswith("ranlux"):
+                add("raw-rand", k, spelling)
+            if member in FILE_IO_STREAMS:
+                add("raw-file-io", k, spelling)
+            if member in KEYED_CONTAINERS and self._pointer_key(k + 3):
+                add("pointer-keyed-container", k, spelling + "<T *>")
+
+    def _wall_clock_after(self, k):
+        """The wall-clock read (`time()`, `clock()`, `*_clock::now`)
+        after token k on its line and before any `;`, or ""."""
+        toks = self.tokens
+        for j in range(k + 1, len(toks)):
+            t = toks[j].text
+            if toks[j].line != toks[k].line or t == ";":
+                break
+            ahead = " ".join(x.text for x in toks[j:j + 4])
+            if ahead.startswith(TIME_READS):
+                return t + "()"
+            if t in WALL_CLOCKS and ahead.startswith(t + " :: now"):
+                return t + "::now"
+        return ""
+
+    def _pointer_key(self, k):
+        """Does the template argument list opening at token k start
+        with a pointer key: `< [const] name[::name]... [const] *`?"""
+        toks = self.tokens
+        n = len(toks)
+        if k >= n or toks[k].text != "<":
+            return False
+        j = k + 1
+        if j < n and toks[j].text == "const":
+            j += 1
+        if j < n and toks[j].text == "::":
+            j += 1
+        if j >= n or toks[j].kind != ID:
+            return False
+        j += 1
+        while j + 1 < n and toks[j].text == "::" and \
+                toks[j + 1].kind == ID:
+            j += 2
+        if j < n and toks[j].text == "const":
+            j += 1
+        return j < n and toks[j].text == "*"
 
     # -- scope-level parsing ------------------------------------------------
 

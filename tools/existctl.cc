@@ -89,7 +89,9 @@
  * --threads N sets the decode/reconcile parallelism (default: hardware
  * concurrency; --threads 1 is the fully serial path). The output is
  * bit-identical at any thread or shard count — they only change wall
- * time.
+ * time. Every command takes --threads and --shards values as integers
+ * >= 0, where 0 keeps the default; any other value is rejected on
+ * stderr with exit status 2.
  */
 #include <algorithm>
 #include <chrono>
@@ -214,15 +216,18 @@ positiveArg(const std::string &flag, const char *text)
     return v;
 }
 
-/** All of `text` as an integer >= 1 that fits an int, or badValue(). */
+/** All of `text` as an integer >= `min` (0 or 1) that fits an int,
+ *  or badValue(). --threads and --shards take min 0, where 0 means
+ *  the default. */
 int
-countArg(const std::string &flag, const char *text)
+intArg(const std::string &flag, const char *text, int min)
 {
     char *end = nullptr;
     long v = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0' || v < 1 ||
+    if (end == text || *end != '\0' || v < min ||
         v > std::numeric_limits<int>::max())
-        badValue(flag, text, "an integer >= 1");
+        badValue(flag, text,
+                 min == 0 ? "an integer >= 0" : "an integer >= 1");
     return static_cast<int>(v);
 }
 
@@ -378,7 +383,7 @@ cmdRecover(int argc, char **argv)
     int threads = 0;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
-            threads = std::atoi(argv[++i]);
+            threads = intArg("--threads", argv[++i], 0);
         else
             return usage();
     }
@@ -469,7 +474,7 @@ cmdTrace(int argc, char **argv)
         else if (arg == "--backend")
             backend = next();
         else if (arg == "--cores")
-            cores = countArg(arg, next());
+            cores = intArg(arg, next(), 1);
         else if (arg == "--clients")
             clients = std::atoi(next());
         else if (arg == "--report")
@@ -481,9 +486,9 @@ cmdTrace(int argc, char **argv)
         else if (arg == "--tnt-memo-bits")
             tnt_memo_bits = std::atoi(next());
         else if (arg == "--threads")
-            threads = std::atoi(next());
+            threads = intArg(arg, next(), 0);
         else if (arg == "--shards")
-            shards = std::atoi(next());
+            shards = intArg(arg, next(), 0);
         else if (arg == "--net")
             net.enabled = true;
         else if (arg == "--loss")
@@ -629,7 +634,7 @@ cmdCluster(int argc, char **argv)
                 std::fputs("missing value for --threads\n", stderr);
                 return 2;
             }
-            threads = std::atoi(argv[++i]);
+            threads = intArg("--threads", argv[++i], 0);
         } else {
             manifests.push_back(argv[i]);
         }
@@ -641,48 +646,23 @@ cmdCluster(int argc, char **argv)
     return 0;
 }
 
-int
-cmdMetrics(int argc, char **argv)
-{
-    int threads = 0;
-    int shards = 0;
+/** The argv of metrics, top and dump-flight: optional manifests plus
+ *  --shards N and --threads N, and for top (`redraw`) also
+ *  --iterations N and --interval-ms M. */
+struct DemoArgs {
     std::vector<const char *> manifests;
-    for (int i = 0; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--threads") == 0 ||
-            std::strcmp(argv[i], "--shards") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "missing value for %s\n",
-                             argv[i]);
-                return 2;
-            }
-            (std::strcmp(argv[i], "--shards") == 0 ? shards
-                                                   : threads) =
-                std::atoi(argv[i + 1]);
-            ++i;
-        } else {
-            manifests.push_back(argv[i]);
-        }
-    }
-
-    if (!manifests.empty()) {
-        int used = reconcileDemoManifests(manifests, shards, threads);
-        note("existctl", "reconciled %zu requests on %d shards",
-             manifests.size(), used);
-    }
-    std::printf("%s\n", metrics::Registry::global().toJson().c_str());
-    return 0;
-}
-
-/** `top`: the metrics registry as one sorted table, optionally
- *  redrawn N times — a poor man's `top` over the control plane. */
-int
-cmdTop(int argc, char **argv)
-{
-    int threads = 0;
     int shards = 0;
+    int threads = 0;
     int iterations = 1;
     int interval_ms = 500;
-    std::vector<const char *> manifests;
+};
+
+/** Parse a DemoArgs argv, then reconcile its manifests (if any) on
+ *  the demo cluster so the view has live traffic behind it. */
+DemoArgs
+reconcileDemoArgs(int argc, char **argv, bool redraw)
+{
+    DemoArgs a;
     for (int i = 0; i < argc; ++i) {
         std::string arg = argv[i];
         auto next = [&]() -> const char * {
@@ -694,27 +674,43 @@ cmdTop(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--threads")
-            threads = std::atoi(next());
+            a.threads = intArg(arg, next(), 0);
         else if (arg == "--shards")
-            shards = std::atoi(next());
-        else if (arg == "--iterations")
-            iterations = std::atoi(next());
-        else if (arg == "--interval-ms")
-            interval_ms = std::atoi(next());
+            a.shards = intArg(arg, next(), 0);
+        else if (redraw && arg == "--iterations")
+            a.iterations = std::atoi(next());
+        else if (redraw && arg == "--interval-ms")
+            a.interval_ms = std::atoi(next());
         else
-            manifests.push_back(argv[i]);
+            a.manifests.push_back(argv[i]);
     }
-    if (!manifests.empty()) {
-        int used = reconcileDemoManifests(manifests, shards, threads);
+    if (!a.manifests.empty()) {
+        int used = reconcileDemoManifests(a.manifests, a.shards, a.threads);
         note("existctl", "reconciled %zu requests on %d shards",
-             manifests.size(), used);
+             a.manifests.size(), used);
     }
+    return a;
+}
 
+int
+cmdMetrics(int argc, char **argv)
+{
+    reconcileDemoArgs(argc, argv, /*redraw=*/false);
+    std::printf("%s\n", metrics::Registry::global().toJson().c_str());
+    return 0;
+}
+
+/** `top`: the metrics registry as one sorted table, optionally
+ *  redrawn N times — a poor man's `top` over the control plane. */
+int
+cmdTop(int argc, char **argv)
+{
+    DemoArgs a = reconcileDemoArgs(argc, argv, /*redraw=*/true);
     metrics::Registry &reg = metrics::Registry::global();
-    for (int it = 0; it < iterations; ++it) {
+    for (int it = 0; it < a.iterations; ++it) {
         if (it > 0) {
             std::this_thread::sleep_for(
-                std::chrono::milliseconds(interval_ms));
+                std::chrono::milliseconds(a.interval_ms));
             std::printf("\n");
         }
         TableWriter table({"Metric", "Type", "Value"});
@@ -737,30 +733,7 @@ cmdTop(int argc, char **argv)
 int
 cmdDumpFlight(int argc, char **argv)
 {
-    int threads = 0;
-    int shards = 0;
-    std::vector<const char *> manifests;
-    for (int i = 0; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--threads") == 0 ||
-            std::strcmp(argv[i], "--shards") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "missing value for %s\n",
-                             argv[i]);
-                return 2;
-            }
-            (std::strcmp(argv[i], "--shards") == 0 ? shards
-                                                   : threads) =
-                std::atoi(argv[i + 1]);
-            ++i;
-        } else {
-            manifests.push_back(argv[i]);
-        }
-    }
-    if (!manifests.empty()) {
-        int used = reconcileDemoManifests(manifests, shards, threads);
-        note("existctl", "reconciled %zu requests on %d shards",
-             manifests.size(), used);
-    }
+    reconcileDemoArgs(argc, argv, /*redraw=*/false);
     std::fputs(obs::flightDumpText(64).c_str(), stdout);
     return 0;
 }
@@ -802,7 +775,7 @@ main(int argc, char **argv)
         rc = run(argc, argv);
     }
     if (!g_self_trace.empty()) {
-        // File IO lives here, not in src/obs (raw-file-io lint).
+        // File IO lives here, not in src/obs (raw-file-io rule).
         std::string json = obs::chromeTraceJson();
         std::FILE *f = std::fopen(g_self_trace.c_str(), "wb");
         if (f == nullptr) {
