@@ -1,64 +1,124 @@
 #include "cluster/crd.h"
 
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <sstream>
-
-#include "util/logging.h"
 
 namespace exist {
 
-TraceRequest
-TraceRequest::parse(const std::string &manifest)
+namespace {
+
+/** All of `text` as a finite number. */
+bool
+wholeNumber(const std::string &text, double *out)
+{
+    char *end = nullptr;
+    *out = std::strtod(text.c_str(), &end);
+    return !text.empty() && end == text.c_str() + text.size() &&
+           std::isfinite(*out);
+}
+
+/** The shortest "%g" text that parses back to exactly `v`, so a
+ *  rendered manifest re-parses to the same request (recovery replays
+ *  the rendered form). Six digits, the stream default, when enough. */
+std::string
+shortest(double v)
+{
+    char buf[32];
+    for (int digits = 6;; ++digits) {
+        std::snprintf(buf, sizeof buf, "%.*g", digits, v);
+        if (digits == 17 || std::strtod(buf, nullptr) == v)
+            return buf;
+    }
+}
+
+}  // namespace
+
+bool
+TraceRequest::set(const std::string &key, const std::string &value,
+                  std::string *error)
+{
+    auto bad = [&](const char *want) {
+        *error = key + " wants " + want + ", got '" + value + "'";
+        return false;
+    };
+    bool *flag = key == "anomaly"     ? &anomaly
+                 : key == "ring"      ? &ring_buffers
+                 : key == "streaming" ? &streaming
+                 : key == "net"       ? &net
+                                      : nullptr;
+    double *rate = key == "loss"        ? &net_loss
+                   : key == "reorder"   ? &net_reorder
+                   : key == "duplicate" ? &net_duplicate
+                                        : nullptr;
+    double x = 0;
+    if (flag != nullptr) {
+        if (value != "true" && value != "1" && value != "false" &&
+            value != "0")
+            return bad("true, false, 1 or 0");
+        *flag = value == "true" || value == "1";
+    } else if (rate != nullptr) {
+        if (!wholeNumber(value, &x) || x < 0 || x >= 1)
+            return bad("a probability in [0, 1)");
+        *rate = x;
+    } else if (key == "app") {
+        if (value.empty())
+            return bad("an application name");
+        app = value;
+    } else if (key == "period_ms") {
+        // Rounded to the nearest cycle, so a rendered period re-parses
+        // to the same cycle count; 0 cycles would mean "RCO decides".
+        long long cycles =
+            wholeNumber(value, &x) && x > 0 && x <= 1e9
+                ? std::llround(x * static_cast<double>(kCyclesPerMs))
+                : 0;
+        if (cycles < 1)
+            return bad("a number of ms in (0, 1e9]");
+        period_override = static_cast<Cycles>(cycles);
+    } else if (key == "budget_mb") {
+        if (!wholeNumber(value, &x) || x != std::floor(x) || x < 1 ||
+            x > 1048576)
+            return bad("an integer in [1, 1048576]");
+        budget_mb = static_cast<std::uint64_t>(x);
+    } else if (key == "core_sample_ratio") {
+        if (!wholeNumber(value, &x) || x < 0 || x > 1)
+            return bad("a number in [0, 1]");
+        core_sample_ratio = x;
+    } else if (key == "link_latency_us") {
+        if (!wholeNumber(value, &x) || x < 0 || x > 1e6)
+            return bad("a number in [0, 1e6]");
+        net_link_latency_us = x;
+    } else {
+        *error = "unknown manifest key '" + key + "'";
+        return false;
+    }
+    return true;
+}
+
+bool
+TraceRequest::parse(const std::string &manifest, TraceRequest *out,
+                    std::string *error)
 {
     TraceRequest req;
     std::istringstream in(manifest);
     std::string token;
     while (in >> token) {
         auto eq = token.find('=');
-        if (eq == std::string::npos)
-            EXIST_FATAL("malformed manifest token '%s'", token.c_str());
-        std::string key = token.substr(0, eq);
-        std::string value = token.substr(eq + 1);
-        if (key == "app") {
-            req.app = value;
-        } else if (key == "anomaly") {
-            req.anomaly = value == "true" || value == "1";
-        } else if (key == "period_ms") {
-            req.period_override = static_cast<Cycles>(
-                std::stod(value) * static_cast<double>(kCyclesPerMs));
-        } else if (key == "budget_mb") {
-            req.budget_mb = std::stoull(value);
-        } else if (key == "ring") {
-            req.ring_buffers = value == "true" || value == "1";
-        } else if (key == "core_sample_ratio") {
-            req.core_sample_ratio = std::stod(value);
-        } else if (key == "streaming") {
-            req.streaming = value == "true" || value == "1";
-        } else if (key == "decode_cache") {
-            req.decode_cache =
-                value == "true" || value == "1" || value == "on";
-        } else if (key == "tnt_memo_bits") {
-            req.tnt_memo_bits = std::stoi(value);
-        } else if (key == "net") {
-            req.net = value == "true" || value == "1";
-        } else if (key == "loss") {
-            req.net_loss = std::stod(value);
-        } else if (key == "reorder") {
-            req.net_reorder = std::stod(value);
-        } else if (key == "duplicate") {
-            req.net_duplicate = std::stod(value);
-        } else if (key == "link_latency_us") {
-            req.net_link_latency_us = std::stod(value);
-        } else if (key == "wal") {
-            req.wal_dir = value;
-        } else if (key == "snapshot_interval") {
-            req.snapshot_interval = std::stoull(value);
-        } else {
-            EXIST_FATAL("unknown manifest key '%s'", key.c_str());
+        if (eq == std::string::npos) {
+            *error = "malformed manifest token '" + token +
+                     "' (want key=value)";
+            return false;
         }
+        if (!req.set(token.substr(0, eq), token.substr(eq + 1), error))
+            return false;
     }
-    if (req.app.empty())
-        EXIST_FATAL("manifest missing app=");
-    return req;
+    if (req.app.empty()) {
+        *error = "manifest missing app=";
+        return false;
+    }
+    *out = std::move(req);
+    return true;
 }
 
 std::string
@@ -69,33 +129,25 @@ TraceRequest::toManifest() const
     if (anomaly)
         out << " anomaly=true";
     if (period_override)
-        out << " period_ms=" << cyclesToMs(period_override);
+        out << " period_ms=" << shortest(cyclesToMs(period_override));
     out << " budget_mb=" << budget_mb;
     if (ring_buffers)
         out << " ring=true";
     if (core_sample_ratio > 0)
-        out << " core_sample_ratio=" << core_sample_ratio;
+        out << " core_sample_ratio=" << shortest(core_sample_ratio);
     if (streaming)
         out << " streaming=true";
-    if (!decode_cache)
-        out << " decode_cache=off";
-    if (tnt_memo_bits != 6)
-        out << " tnt_memo_bits=" << tnt_memo_bits;
     if (net) {
         out << " net=true";
         if (net_loss > 0)
-            out << " loss=" << net_loss;
+            out << " loss=" << shortest(net_loss);
         if (net_reorder > 0)
-            out << " reorder=" << net_reorder;
+            out << " reorder=" << shortest(net_reorder);
         if (net_duplicate > 0)
-            out << " duplicate=" << net_duplicate;
+            out << " duplicate=" << shortest(net_duplicate);
         if (net_link_latency_us != 50.0)
-            out << " link_latency_us=" << net_link_latency_us;
+            out << " link_latency_us=" << shortest(net_link_latency_us);
     }
-    // wal_dir is intentionally omitted (host-local; see crd.h); the
-    // interval rides along so a re-parsed manifest keeps the cadence.
-    if (snapshot_interval != 8)
-        out << " snapshot_interval=" << snapshot_interval;
     return out.str();
 }
 

@@ -54,12 +54,6 @@ struct TraceRequest {
      *  flow reconstruction so reports are ready at trace end. Ignored
      *  (batch fallback) when combined with ring=true. */
     bool streaming = false;
-    /** Decode fast path (DESIGN.md §11): per-binary block cache +
-     *  TNT-run memoization. Reports are bit-identical either way;
-     *  off exists for perf comparison and as the reference path. */
-    bool decode_cache = true;
-    /** TNT-memo window size in bits (0 = block cache only). */
-    int tnt_memo_bits = 6;
 
     /** Collection plane (ISSUE 6): ship session results node -> master
      *  over the simulated fabric instead of in-process. The knobs below
@@ -70,26 +64,40 @@ struct TraceRequest {
     double net_duplicate = 0.0;  ///< per-frame duplicate probability
     double net_link_latency_us = 50.0;
 
-    /** Durability plane (DESIGN.md §12): wal= names the directory the
-     *  control plane journals into. Deliberately NOT rendered by
-     *  toManifest(): it is host-local deployment state, and manifests
-     *  must stay byte-identical across hosts and across a recovery
-     *  (snapshots and WAL records embed manifests verbatim). */
-    std::string wal_dir;
-    /** Publishes between snapshots (0 = never snapshot). */
-    std::uint64_t snapshot_interval = 8;
-
     RequestPhase phase = RequestPhase::kPending;
 
     /** The fabric configuration this request asks for. */
     net::NetSpec netSpec() const;
 
     /**
-     * Parse a manifest of "key=value" pairs separated by whitespace or
-     * newlines, e.g. "app=Search1 anomaly=true period_ms=500".
-     * Fatal on unknown keys (a malformed manifest is a user error).
+     * Set one manifest key from its text, e.g. ("loss", "0.05"). Every
+     * value is checked: numbers use the whole text and are finite and
+     * in range, booleans are true|false|1|0. The keys and ranges:
+     *
+     *   app                          text, non-empty
+     *   anomaly ring streaming net   boolean
+     *   period_ms                    ms in (0, 1e9], at least one
+     *                                cycle; omit it to let RCO decide
+     *   budget_mb                    integer in [1, 1048576]
+     *   core_sample_ratio            [0, 1] (0 = default)
+     *   loss reorder duplicate       [0, 1) (at 1 nothing arrives)
+     *   link_latency_us              [0, 1e6]
+     *
+     * Returns false with `*error` naming the key on an unknown key or
+     * a bad value, leaving the request unchanged.
      */
-    static TraceRequest parse(const std::string &manifest);
+    bool set(const std::string &key, const std::string &value,
+             std::string *error);
+
+    /**
+     * Parse a manifest of "key=value" pairs separated by whitespace or
+     * newlines, e.g. "app=Search1 anomaly=true period_ms=500", through
+     * set(). Returns false with `*error` set on a malformed token, an
+     * unknown key, a bad value or a missing app=; `*out` is written
+     * only on success.
+     */
+    static bool parse(const std::string &manifest, TraceRequest *out,
+                      std::string *error);
 
     /** Render back to manifest form. */
     std::string toManifest() const;

@@ -73,8 +73,6 @@ planRequest(Cluster *cluster,
         // pool instead (sharing would let a backpressured producer
         // deadlock against parked consumers).
         spec.streaming = req.streaming;
-        spec.decode_cache = req.decode_cache;
-        spec.tnt_memo_bits = req.tnt_memo_bits;
         if (req.streaming)
             spec.decode_threads = threads == 1 ? 1 : 2;
         else

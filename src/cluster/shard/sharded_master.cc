@@ -91,7 +91,11 @@ ShardedMaster::submit(TraceRequest req)
 std::uint64_t
 ShardedMaster::apply(const std::string &manifest)
 {
-    return submit(TraceRequest::parse(manifest));
+    TraceRequest req;
+    std::string error;
+    if (!TraceRequest::parse(manifest, &req, &error))
+        EXIST_FATAL("apply: %s", error.c_str());
+    return submit(std::move(req));
 }
 
 const TraceRequest *

@@ -73,7 +73,9 @@ class ShardedMaster
 
     /** Create a TraceRequest (API server write; thread-safe). */
     std::uint64_t submit(TraceRequest req);
-    /** Convenience: submit from a manifest string. */
+    /** Convenience: submit from a trusted manifest string; fatal on
+     *  one TraceRequest::parse rejects. Untrusted text is parsed by
+     *  the caller and submitted. */
     std::uint64_t apply(const std::string &manifest);
 
     /** Run every shard's controller loop until nothing is pending. */

@@ -58,7 +58,6 @@ OperationAwareController::start(Kernel &kernel, const Config &cfg)
         auto res = kernel.tracer(a.core).configure(tc);
         EXIST_ASSERT(res.ok, "tracer configure failed on core %d",
                      a.core);
-        facility_cycles_ += res.cost;
         msr_writes_ += 4;
         planned_cores_.push_back(a.core);
     }
@@ -111,10 +110,8 @@ OperationAwareController::start(Kernel &kernel, const Config &cfg)
             std::find(planned_cores_.begin(), planned_cores_.end(),
                       c) != planned_cores_.end() &&
             !core_enabled_[static_cast<std::size_t>(c)]) {
-            auto res =
-                kernel.tracer(c).enable(kernel.now(), cr3,
-                                        t->currentAddress());
-            facility_cycles_ += res.cost;
+            kernel.tracer(c).enable(kernel.now(), cr3,
+                                    t->currentAddress());
             core_enabled_[static_cast<std::size_t>(c)] = true;
             enabled_cores_.push_back(c);
             ++control_ops_;
@@ -146,8 +143,7 @@ OperationAwareController::stop(Kernel &kernel)
     // Disable the tracers of all scheduled cores: prevents infinite
     // tracing and improves robustness (paper §3.2).
     for (CoreId c : enabled_cores_) {
-        auto res = kernel.tracer(c).disable(kernel.now());
-        facility_cycles_ += res.cost;
+        kernel.tracer(c).disable(kernel.now());
         ++msr_writes_;
         ++control_ops_;
     }

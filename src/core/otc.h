@@ -64,9 +64,6 @@ class OperationAwareController
     /** Control-operation accounting (the paper's O(#core) claim). */
     std::uint64_t controlOps() const { return control_ops_; }
     std::uint64_t msrWrites() const { return msr_writes_; }
-    /** Cycles burned by the facility itself (configure + stop paths),
-     *  not charged to application threads. */
-    Cycles facilityCycles() const { return facility_cycles_; }
     /** Cores whose tracer was enabled during the session. */
     const std::vector<CoreId> &enabledCores() const
     {
@@ -81,7 +78,6 @@ class OperationAwareController
     std::vector<CoreId> enabled_cores_;
     std::uint64_t control_ops_ = 0;
     std::uint64_t msr_writes_ = 0;
-    Cycles facility_cycles_ = 0;
     bool stopped_ = false;
 };
 

@@ -251,12 +251,6 @@ class FlowReconstructor
         return FlowStream(prog_, opts_, cache_, &memo_pool_);
     }
 
-    /** The shared per-binary cache (null when disabled). */
-    const std::shared_ptr<const BlockCache> &blockCache() const
-    {
-        return cache_;
-    }
-
   private:
     const ProgramBinary *prog_;
     DecodeOptions opts_;

@@ -69,7 +69,12 @@ recover(const std::string &dir, metrics::Registry *registry)
             break;
 
           case RecordType::kAdmit: {
-            TraceRequest req = TraceRequest::parse(rec.manifest);
+            TraceRequest req;
+            std::string bad;
+            if (!TraceRequest::parse(rec.manifest, &req, &bad)) {
+                result.error = lsnError(rec.lsn, "admit manifest: " + bad);
+                return result;
+            }
             req.id = rec.request_id;
             req.phase = RequestPhase::kPending;
             if (rec.request_id + 1 > st.dump.next_id)

@@ -14,53 +14,6 @@ namespace exist::durability {
 
 namespace {
 
-std::string
-snapshotName(std::uint64_t barrier_lsn)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "snap-%016llx.img",
-                  static_cast<unsigned long long>(barrier_lsn));
-    return buf;
-}
-
-bool
-parseSnapshotName(const std::string &name, std::uint64_t *lsn)
-{
-    if (name.size() != 5 + 16 + 4 || name.rfind("snap-", 0) != 0 ||
-        name.substr(21) != ".img")
-        return false;
-    std::uint64_t v = 0;
-    for (std::size_t i = 5; i < 21; ++i) {
-        char c = name[i];
-        int d;
-        if (c >= '0' && c <= '9')
-            d = c - '0';
-        else if (c >= 'a' && c <= 'f')
-            d = c - 'a' + 10;
-        else
-            return false;
-        v = (v << 4) | static_cast<std::uint64_t>(d);
-    }
-    *lsn = v;
-    return true;
-}
-
-bool
-readFile(const std::string &path, std::vector<std::uint8_t> *out)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr)
-        return false;
-    out->clear();
-    std::uint8_t buf[1 << 16];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-        out->insert(out->end(), buf, buf + n);
-    bool ok = std::ferror(f) == 0;
-    std::fclose(f);
-    return ok;
-}
-
 void
 putDump(net::ByteWriter &w, const ControlStateDump &dump)
 {
@@ -111,7 +64,10 @@ getDump(net::ByteReader &r, ControlStateDump *out)
         if (!r.ok() ||
             phase > static_cast<std::uint8_t>(RequestPhase::kFailed))
             return false;
-        TraceRequest req = TraceRequest::parse(manifest);
+        TraceRequest req;
+        std::string bad;
+        if (!TraceRequest::parse(manifest, &req, &bad))
+            return false;
         req.id = id;
         req.phase = static_cast<RequestPhase>(phase);
         out->requests.emplace(id, std::move(req));
@@ -230,7 +186,8 @@ writeSnapshot(const std::string &dir, const SnapshotState &state,
     hw.putBytes(body.data(), body.size());
 
     std::string final_path =
-        (fs::path(dir) / snapshotName(state.barrier_lsn)).string();
+        (fs::path(dir) / lsnFileName("snap-", state.barrier_lsn, ".img"))
+            .string();
     std::string tmp_path = final_path + ".tmp";
     std::FILE *f = std::fopen(tmp_path.c_str(), "wb");
     if (f == nullptr) {
@@ -266,7 +223,7 @@ listSnapshots(const std::string &dir)
     for (const auto &entry : fs::directory_iterator(dir, ec)) {
         std::uint64_t lsn = 0;
         std::string name = entry.path().filename().string();
-        if (parseSnapshotName(name, &lsn))
+        if (parseLsnFileName(name, "snap-", ".img", &lsn))
             found.emplace_back(lsn, entry.path().string());
     }
     std::sort(found.begin(), found.end());

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <utility>
 
@@ -12,25 +13,26 @@ namespace fs = std::filesystem;
 
 namespace exist::durability {
 
-namespace {
-
 std::string
-segmentName(std::uint64_t start_lsn)
+lsnFileName(const char *prefix, std::uint64_t lsn, const char *suffix)
 {
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "wal-%016llx.seg",
-                  static_cast<unsigned long long>(start_lsn));
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%s%016llx%s", prefix,
+                  static_cast<unsigned long long>(lsn), suffix);
     return buf;
 }
 
 bool
-parseSegmentName(const std::string &name, std::uint64_t *lsn)
+parseLsnFileName(const std::string &name, const char *prefix,
+                 const char *suffix, std::uint64_t *lsn)
 {
-    if (name.size() != 4 + 16 + 4 || name.rfind("wal-", 0) != 0 ||
-        name.substr(20) != ".seg")
+    std::size_t head = std::strlen(prefix);
+    std::size_t tail = std::strlen(suffix);
+    if (name.size() != head + 16 + tail || name.rfind(prefix, 0) != 0 ||
+        name.compare(head + 16, tail, suffix) != 0)
         return false;
     std::uint64_t v = 0;
-    for (std::size_t i = 4; i < 20; ++i) {
+    for (std::size_t i = head; i < head + 16; ++i) {
         char c = name[i];
         int d;
         if (c >= '0' && c <= '9')
@@ -59,6 +61,20 @@ readFile(const std::string &path, std::vector<std::uint8_t> *out)
     bool ok = std::ferror(f) == 0;
     std::fclose(f);
     return ok;
+}
+
+namespace {
+
+std::string
+segmentName(std::uint64_t start_lsn)
+{
+    return lsnFileName("wal-", start_lsn, ".seg");
+}
+
+bool
+parseSegmentName(const std::string &name, std::uint64_t *lsn)
+{
+    return parseLsnFileName(name, "wal-", ".seg", lsn);
 }
 
 /** One segment, scanned to its first invalid byte. */

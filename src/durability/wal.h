@@ -93,6 +93,17 @@ enum class RecordType : std::uint8_t {
 
 const char *recordTypeName(RecordType t);
 
+/** `prefix`, `lsn` as 16 lowercase hex digits, then `suffix`: the file
+ *  name of a WAL segment (wal-, .seg) or a snapshot image (snap-,
+ *  .img). */
+std::string lsnFileName(const char *prefix, std::uint64_t lsn,
+                        const char *suffix);
+/** Inverse of lsnFileName(); false when `name` is not of that form. */
+bool parseLsnFileName(const std::string &name, const char *prefix,
+                      const char *suffix, std::uint64_t *lsn);
+/** All of `path`'s bytes into `*out`; false on an open or read error. */
+bool readFile(const std::string &path, std::vector<std::uint8_t> *out);
+
 /** One WAL record (tagged by `type`; unrelated fields stay empty). */
 struct WalRecord {
     std::uint64_t lsn = 0;  ///< assigned by Wal::append

@@ -126,11 +126,7 @@ class CoreTracer
     const TopaBuffer &output() const { return out_ ? *out_ : topa_; }
     const PacketStats &packetStats() const { return writer_.stats(); }
 
-    /** Real bytes (model bytes x kTraceByteScale) accepted so far. */
-    std::uint64_t realBytesAccepted() const
-    {
-        return output().bytesAccepted() * kTraceByteScale;
-    }
+    /** Real bytes (model bytes x kTraceByteScale) dropped so far. */
     std::uint64_t realBytesDropped() const
     {
         return output().bytesDropped() * kTraceByteScale;

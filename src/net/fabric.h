@@ -112,7 +112,6 @@ class Fabric
      *  delivered). */
     std::size_t ingressDepth(NodeId node) const;
 
-    const std::vector<WireEvent> &wireLog() const { return wire_log_; }
     /** Render the wire log one event per line (regression compare). */
     std::string wireLogText() const;
 

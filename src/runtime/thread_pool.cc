@@ -70,9 +70,11 @@ ThreadPool::push(Task task)
         obs::corrId(reinterpret_cast<std::uint64_t>(this),
                     task_seq_.fetch_add(1, std::memory_order_relaxed));
     obs::flowBegin("pool.task", span_id);
-    Task wrapped = [span_id, fn = std::move(task)]() {
+    // Counted before fn() fulfils the caller's future (tasksRun()).
+    Task wrapped = [this, span_id, fn = std::move(task)]() {
         EXIST_SPAN("pool.task", span_id);
         obs::flowEnd("pool.task", span_id);
+        tasks_run_.fetch_add(1, std::memory_order_relaxed);
         fn();
     };
     task = std::move(wrapped);
@@ -157,7 +159,6 @@ ThreadPool::workerLoop(std::size_t index)
         if (takeTask(index, task)) {
             task();
             task = nullptr;
-            tasks_run_.fetch_add(1, std::memory_order_relaxed);
             continue;
         }
         // Nothing queued anywhere. Exit only when stopping: a task
@@ -215,7 +216,6 @@ ThreadPool::parallelFor(std::size_t begin, std::size_t end,
             if (takeTask(home, task)) {
                 task();
                 task = nullptr;
-                tasks_run_.fetch_add(1, std::memory_order_relaxed);
             } else {
                 f.wait_for(std::chrono::microseconds(100));
             }

@@ -45,7 +45,9 @@ class ThreadPool
 
     int size() const { return static_cast<int>(workers_.size()); }
 
-    /** Tasks executed so far (by workers or by helping waiters). */
+    /** Tasks executed so far (by workers or by helping waiters). A
+     *  task counts before it fulfils its future, so a caller whose
+     *  wait returned sees it here. */
     std::uint64_t tasksRun() const
     {
         return tasks_run_.load(std::memory_order_relaxed);

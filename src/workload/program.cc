@@ -85,8 +85,6 @@ ProgramBinary::generate(const AppProfile &profile, std::uint64_t seed)
         fn.size_bytes = static_cast<std::uint32_t>(addr - fn.base_address);
         prog.functions_.push_back(std::move(fn));
     }
-    prog.text_bytes_ = addr - kTextBase;
-
     // Pass 2: assign terminators and targets.
     const double wsum = profile.terminatorWeightSum();
     EXIST_ASSERT(wsum > 0, "profile %s has zero terminator weights",

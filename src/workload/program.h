@@ -111,9 +111,6 @@ class ProgramBinary
         return functions_[0].entry_block;
     }
 
-    /** Total generated text size in bytes (symbolic). */
-    std::uint64_t textBytes() const { return text_bytes_; }
-
     /** Map an instruction address to a block index; kNoBlock if none.
      *  Used by the decoder to resolve TIP payloads. */
     std::uint32_t blockAtAddress(std::uint64_t addr) const;
@@ -130,7 +127,6 @@ class ProgramBinary
     std::vector<BasicBlock> blocks_;
     std::vector<ProgramFunction> functions_;
     std::vector<IndirectTarget> indirect_targets_;
-    std::uint64_t text_bytes_ = 0;
     // Sorted block start addresses for blockAtAddress.
     std::vector<std::uint64_t> block_addresses_;
 };

@@ -5,9 +5,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "analysis/attribution.h"
 #include "analysis/behavior_report.h"
-#include "analysis/ground_truth.h"
 #include "analysis/testbed.h"
 #include "core/exist_backend.h"
 #include "decode/flow_reconstructor.h"
@@ -92,6 +93,26 @@ TEST(Attributor, MergeAggregatesAcrossCores)
     EXPECT_EQ(merged[5].longest_gap, 90u);
 }
 
+/** Branch counts per thread of one process: the attribution
+ *  reference, seen from outside the simulated machine. */
+class ThreadBranchCounter final : public BranchObserver
+{
+  public:
+    explicit ThreadBranchCounter(ProcessId pid) : pid_(pid) {}
+
+    void onBranch(CoreId, const Thread &t, const BranchRecord &,
+                  Cycles) override
+    {
+        if (t.process().pid() == pid_)
+            ++per_thread[t.tid()];
+    }
+
+    std::map<ThreadId, std::uint64_t> per_thread;
+
+  private:
+    ProcessId pid_;
+};
+
 TEST(Attribution, EndToEndMatchesGroundTruthPerThread)
 {
     // Two threads of one process timeshare one core; the per-core
@@ -105,8 +126,8 @@ TEST(Attribution, EndToEndMatchesGroundTruthPerThread)
     kernel.startThread(t2);
     kernel.runFor(secondsToCycles(0.01));
 
-    GroundTruthRecorder truth;
-    truth.arm(kernel, p->pid());
+    ThreadBranchCounter truth(p->pid());
+    kernel.setBranchObserver(&truth);
     ExistBackend backend;
     SessionSpec spec;
     spec.target = p;
@@ -114,7 +135,7 @@ TEST(Attribution, EndToEndMatchesGroundTruthPerThread)
     backend.start(kernel, spec);
     kernel.runFor(spec.period);  // HRT stops the session right here
     backend.stop(kernel);
-    truth.disarm(kernel);
+    kernel.setBranchObserver(nullptr);
 
     FlowReconstructor decoder(bin.get());
     ThreadAttributor attributor(backend.switchLog());
@@ -124,7 +145,7 @@ TEST(Attribution, EndToEndMatchesGroundTruthPerThread)
             attributor.attribute(ct.core, decoder.decode(ct.bytes)));
     auto merged = ThreadAttributor::merge(parts);
 
-    const auto &want = truth.branchesPerThread();
+    const auto &want = truth.per_thread;
     ASSERT_EQ(want.size(), 2u);
     std::uint64_t attributed = 0, unattributed = 0;
     for (const auto &[tid, tt] : merged) {

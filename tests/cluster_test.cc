@@ -12,9 +12,20 @@
 namespace exist {
 namespace {
 
+/** A manifest the test expects to parse. */
+TraceRequest
+parsed(const std::string &manifest)
+{
+    TraceRequest req;
+    std::string error;
+    EXPECT_TRUE(TraceRequest::parse(manifest, &req, &error))
+        << manifest << ": " << error;
+    return req;
+}
+
 TEST(Crd, ParsesManifest)
 {
-    TraceRequest req = TraceRequest::parse(
+    TraceRequest req = parsed(
         "app=Search1 anomaly=true period_ms=250 budget_mb=300 "
         "ring=true core_sample_ratio=0.5");
     EXPECT_EQ(req.app, "Search1");
@@ -24,24 +35,92 @@ TEST(Crd, ParsesManifest)
     EXPECT_TRUE(req.ring_buffers);
     EXPECT_DOUBLE_EQ(req.core_sample_ratio, 0.5);
     EXPECT_EQ(req.phase, RequestPhase::kPending);
+
+    // Range edges are accepted; 1 and 0 are booleans too.
+    TraceRequest edge = parsed(
+        "app=Cache anomaly=1 ring=0 period_ms=1e9 budget_mb=1048576 "
+        "core_sample_ratio=1 net=true loss=0 link_latency_us=0");
+    EXPECT_TRUE(edge.anomaly);
+    EXPECT_FALSE(edge.ring_buffers);
+    EXPECT_EQ(edge.period_override, 1'000'000'000 * kCyclesPerMs);
+    EXPECT_EQ(edge.budget_mb, 1048576u);
+    EXPECT_DOUBLE_EQ(edge.core_sample_ratio, 1.0);
+    EXPECT_DOUBLE_EQ(edge.net_link_latency_us, 0.0);
 }
 
 TEST(Crd, DefaultsAndRoundTrip)
 {
-    TraceRequest req = TraceRequest::parse("app=Cache");
+    TraceRequest req = parsed("app=Cache");
     EXPECT_FALSE(req.anomaly);
     EXPECT_EQ(req.period_override, 0u);
     EXPECT_EQ(req.budget_mb, 500u);
-    TraceRequest again = TraceRequest::parse(req.toManifest());
+    TraceRequest again = parsed(req.toManifest());
     EXPECT_EQ(again.app, req.app);
     EXPECT_EQ(again.budget_mb, req.budget_mb);
+
+    // A fractional period renders so that it re-parses to the same
+    // cycle count (recovery replays the rendered manifest).
+    TraceRequest frac = parsed("app=Cache period_ms=30.7");
+    EXPECT_EQ(frac.toManifest(), "app=Cache period_ms=30.7 budget_mb=500");
+    EXPECT_EQ(parsed(frac.toManifest()).period_override,
+              frac.period_override);
 }
 
 TEST(Crd, RejectsMalformedManifests)
 {
-    EXPECT_DEATH(TraceRequest::parse("appSearch1"), "malformed");
-    EXPECT_DEATH(TraceRequest::parse("app=x frobnicate=1"), "unknown");
-    EXPECT_DEATH(TraceRequest::parse("anomaly=true"), "missing app");
+    // Every bad manifest is an error naming the culprit, never an
+    // abort, and leaves the output untouched.
+    const std::pair<const char *, const char *> cases[] = {
+        {"appSearch1", "malformed manifest token 'appSearch1'"},
+        {"app=x frobnicate=1", "unknown manifest key 'frobnicate'"},
+        {"anomaly=true", "manifest missing app="},
+        {"", "manifest missing app="},
+        {"app=", "app wants an application name"},
+        {"app=x period_ms=abc", "period_ms wants"},
+        {"app=x period_ms=0", "period_ms wants"},
+        {"app=x period_ms=-5", "period_ms wants"},
+        {"app=x period_ms=5x", "period_ms wants"},
+        {"app=x period_ms=inf", "period_ms wants"},
+        {"app=x period_ms=nan", "period_ms wants"},
+        {"app=x period_ms=1e300", "period_ms wants"},
+        {"app=x period_ms=1e-9", "period_ms wants"},
+        {"app=x budget_mb=0", "budget_mb wants"},
+        {"app=x budget_mb=-1", "budget_mb wants"},
+        {"app=x budget_mb=1.5", "budget_mb wants"},
+        {"app=x budget_mb=99999999999999999999999", "budget_mb wants"},
+        {"app=x anomaly=yes", "anomaly wants true, false, 1 or 0"},
+        {"app=x ring=on", "ring wants"},
+        {"app=x streaming=2", "streaming wants"},
+        {"app=x net=TRUE", "net wants"},
+        {"app=x loss=x", "loss wants a probability in [0, 1)"},
+        {"app=x loss=1", "loss wants"},
+        {"app=x reorder=-0.1", "reorder wants"},
+        {"app=x duplicate=nan", "duplicate wants"},
+        {"app=x core_sample_ratio=1.5", "core_sample_ratio wants"},
+        {"app=x link_latency_us=-1", "link_latency_us wants"},
+        // Keys this CRD no longer has.
+        {"app=x wal=/x", "unknown manifest key 'wal'"},
+        {"app=x snapshot_interval=4",
+         "unknown manifest key 'snapshot_interval'"},
+        {"app=x decode_cache=off", "unknown manifest key 'decode_cache'"},
+        {"app=x tnt_memo_bits=0", "unknown manifest key 'tnt_memo_bits'"},
+    };
+    for (const auto &[manifest, want] : cases) {
+        TraceRequest req;
+        req.app = "untouched";
+        std::string error;
+        EXPECT_FALSE(TraceRequest::parse(manifest, &req, &error))
+            << manifest;
+        EXPECT_NE(error.find(want), std::string::npos)
+            << manifest << " -> " << error;
+        EXPECT_EQ(req.app, "untouched") << manifest;
+    }
+
+    // set() leaves the request as it was on a bad value.
+    TraceRequest req = parsed("app=Cache period_ms=40");
+    std::string error;
+    EXPECT_FALSE(req.set("period_ms", "abc", &error));
+    EXPECT_EQ(req.period_override, 40 * kCyclesPerMs);
 }
 
 TEST(ObjectStoreTest, PutGetListAndOverwrite)

@@ -427,7 +427,13 @@ TEST(CollectionAcceptance, ShardedMasterMatchesSerialWithNet)
 
 TEST(Crd, NetKnobsParseAndRoundTrip)
 {
-    TraceRequest req = TraceRequest::parse(
+    auto parsed = [](const std::string &manifest) {
+        TraceRequest req;
+        std::string error;
+        EXPECT_TRUE(TraceRequest::parse(manifest, &req, &error)) << error;
+        return req;
+    };
+    TraceRequest req = parsed(
         "app=Cache net=true loss=0.05 reorder=0.1 duplicate=0.02 "
         "link_latency_us=80");
     EXPECT_TRUE(req.net);
@@ -441,10 +447,10 @@ TEST(Crd, NetKnobsParseAndRoundTrip)
     EXPECT_DOUBLE_EQ(spec.drop_rate, 0.05);
     EXPECT_DOUBLE_EQ(spec.link_latency_us, 80);
 
-    TraceRequest again = TraceRequest::parse(req.toManifest());
+    TraceRequest again = parsed(req.toManifest());
     EXPECT_TRUE(again.netSpec() == spec);
 
-    TraceRequest off = TraceRequest::parse("app=Cache");
+    TraceRequest off = parsed("app=Cache");
     EXPECT_FALSE(off.netSpec().enabled);
 }
 

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 
 #include "cluster/crd.h"
 #include "decode/packet_parser.h"
@@ -297,7 +298,10 @@ TEST(Fuzz, CrdManifestRoundTrips)
         if (rng.bernoulli(0.4))
             req.core_sample_ratio = 0.1 + 0.9 * rng.uniform();
 
-        TraceRequest again = TraceRequest::parse(req.toManifest());
+        TraceRequest again;
+        std::string error;
+        ASSERT_TRUE(TraceRequest::parse(req.toManifest(), &again, &error))
+            << req.toManifest() << ": " << error;
         EXPECT_EQ(again.app, req.app);
         EXPECT_EQ(again.anomaly, req.anomaly);
         EXPECT_EQ(again.budget_mb, req.budget_mb);
@@ -308,6 +312,55 @@ TEST(Fuzz, CrdManifestRoundTrips)
         EXPECT_NEAR(again.core_sample_ratio, req.core_sample_ratio,
                     1e-6);
     }
+}
+
+TEST(Fuzz, RandomManifestsParseOrFailNeverAbort)
+{
+    // Arbitrary tokens: known, deleted and unknown keys, values at and
+    // past every range edge, junk bytes. parse() either accepts, and
+    // then its rendering re-parses to the same rendering, or returns
+    // an error. It never aborts.
+    Rng rng(405);
+    const char *keys[] = {"app", "anomaly", "period_ms", "budget_mb",
+                          "ring", "core_sample_ratio", "streaming",
+                          "net", "loss", "reorder", "duplicate",
+                          "link_latency_us", "wal", "tnt_memo_bits",
+                          "frobnicate", ""};
+    const char *values[] = {"", "0", "1", "-1", "true", "false", "abc",
+                            "0.5", "1e9", "1e300", "-0", "inf", "nan",
+                            "0x1p3", "1048577", "99999999999999999999",
+                            "5x", "30.7", "0.9999999", "1e-9", "=",
+                            "Search1"};
+    std::size_t accepted = 0;
+    for (int trial = 0; trial < 2000; ++trial) {
+        std::string manifest = rng.bernoulli(0.8) ? "app=Cache" : "";
+        for (std::uint64_t t = 0, n = rng.uniformInt(6); t < n; ++t) {
+            manifest += ' ';
+            if (rng.bernoulli(0.1)) {
+                // Printable junk with no shape guarantees at all.
+                for (std::uint64_t k = 0, m = 1 + rng.uniformInt(8); k < m;
+                     ++k)
+                    manifest += static_cast<char>('!' + rng.uniformInt(94));
+                continue;
+            }
+            manifest += keys[rng.uniformInt(std::size(keys))];
+            if (!rng.bernoulli(0.05))
+                manifest += '=';
+            manifest += values[rng.uniformInt(std::size(values))];
+        }
+        TraceRequest req;
+        std::string error;
+        if (!TraceRequest::parse(manifest, &req, &error)) {
+            EXPECT_FALSE(error.empty()) << manifest;
+            continue;
+        }
+        ++accepted;
+        TraceRequest again;
+        ASSERT_TRUE(TraceRequest::parse(req.toManifest(), &again, &error))
+            << manifest << " -> " << req.toManifest() << ": " << error;
+        EXPECT_EQ(again.toManifest(), req.toManifest()) << manifest;
+    }
+    EXPECT_GT(accepted, 100u);
 }
 
 // ----------------------------------------------------------------

@@ -271,8 +271,10 @@ demoSnapshot(std::uint64_t barrier)
     st.meta.deployments = {{"Cache", 3}};
     st.barrier_lsn = barrier;
     st.dump.next_id = 3;
-    TraceRequest req =
-        TraceRequest::parse("app=Cache anomaly=true budget_mb=64");
+    TraceRequest req;
+    req.app = "Cache";
+    req.anomaly = true;
+    req.budget_mb = 64;
     req.id = 1;
     req.phase = RequestPhase::kCompleted;
     st.dump.requests[1] = req;
@@ -342,22 +344,34 @@ TEST(SnapshotTest, CorruptNewestFallsBackToOlder)
 // CRD + crash-point unit tests
 // ---------------------------------------------------------------
 
-TEST(DurabilityCrdTest, WalKeysParseAndManifestOmitsWalDir)
+TEST(DurabilityCrdTest, WalKeysFailRecoveryAsCorruption)
 {
-    TraceRequest req = TraceRequest::parse(
-        "app=Cache budget_mb=64 wal=/tmp/exist-wal "
-        "snapshot_interval=4");
-    EXPECT_EQ(req.wal_dir, "/tmp/exist-wal");
-    EXPECT_EQ(req.snapshot_interval, 4u);
-
-    std::string manifest = req.toManifest();
-    EXPECT_EQ(manifest.find("wal="), std::string::npos);
-    EXPECT_NE(manifest.find("snapshot_interval=4"),
-              std::string::npos);
-    // Round-trip keeps the cadence; the wal dir is host-local.
-    TraceRequest again = TraceRequest::parse(manifest);
-    EXPECT_EQ(again.snapshot_interval, 4u);
-    EXPECT_TRUE(again.wal_dir.empty());
+    // The journal comes from existctl's --wal/--snapshot-interval, not
+    // the CRD: a logged manifest naming wal= or snapshot_interval= (or
+    // anything else parse() rejects) makes recovery fail loudly at
+    // that record instead of aborting or dropping the request.
+    for (const char *manifest :
+         {"app=Cache budget_mb=64 wal=/tmp/exist-wal",
+          "app=Cache snapshot_interval=4", "app=Cache period_ms=abc"}) {
+        fs::path dir = freshDir("badadmit");
+        {
+            Wal wal(Wal::Config{dir.string()});
+            WalRecord meta;
+            meta.type = RecordType::kMeta;
+            meta.meta.num_nodes = 4;
+            meta.meta.cores_per_node = 2;
+            meta.meta.shards = 1;
+            meta.meta.deployments = {{"Cache", 3}};
+            wal.append(meta);
+            wal.append(admitRecord(1, manifest));
+        }
+        RecoveryResult rec = recover(dir.string());
+        EXPECT_FALSE(rec.ok) << manifest;
+        EXPECT_NE(rec.error.find("lsn 2: admit manifest"),
+                  std::string::npos)
+            << rec.error;
+        fs::remove_all(dir);
+    }
 }
 
 TEST(CrashPointTest, NamedCountAndStepArming)

@@ -214,5 +214,27 @@ TEST(ThreadPool, ManySmallTasksComplete)
     EXPECT_EQ(ran.load(), kTasks);
 }
 
+TEST(ThreadPool, TasksRunIsExactWhenParallelForReturns)
+{
+    // A task is counted before it fulfils its future, so the moment
+    // parallelFor returns all 16 of its chunks (one per index) show in
+    // tasksRun(). Uneven bodies keep the helping caller busy while
+    // workers finish the last chunks, which is when a count taken
+    // after the future would still be missing.
+    ThreadPool pool(4);
+    std::atomic<int> hits{0};
+    for (int round = 0; round < 5000; ++round) {
+        std::uint64_t before = pool.tasksRun();
+        pool.parallelFor(0, 16, [&](std::size_t i) {
+            volatile int spin = 0;
+            for (std::size_t k = 0; k < 200 * (i % 3); ++k)
+                spin = spin + 1;
+            hits.fetch_add(1);
+        });
+        ASSERT_EQ(pool.tasksRun() - before, 16u) << "round " << round;
+    }
+    EXPECT_EQ(hits.load(), 5000 * 16);
+}
+
 }  // namespace
 }  // namespace exist

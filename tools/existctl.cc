@@ -7,26 +7,25 @@
  *       Show the workload catalog.
  *
  *   existctl trace <app> [--period-ms N] [--budget-mb N]
- *                        [--backend EXIST|StaSam|eBPF|NHT]
+ *                        [--backend EXIST|StaSam|eBPF|NHT|Oracle]
  *                        [--cores N] [--clients N] [--report]
  *                        [--threads N] [--streaming] [--shards N]
- *                        [--no-decode-cache] [--tnt-memo-bits N]
  *                        [--net] [--loss R] [--reorder R]
  *                        [--duplicate R] [--link-latency-us N]
  *       Run one node-level tracing session against a synthetic
  *       deployment of <app> and print the session statistics; with
  *       --report, also synthesize the human-readable behaviour report
  *       from the session's own decode (the one behind the coverage
- *       and accuracy rows; nothing is decoded twice). --period-ms
- *       must be a number > 0 and --cores an integer >= 1; any other
- *       value is rejected on stderr with exit status 2.
+ *       and accuracy rows; nothing is decoded twice).
+ *       Eight flags are TraceRequest manifest keys (cluster/crd.h) and
+ *       go through its one parser: --period-ms (period_ms, default
+ *       200), --budget-mb, --streaming, --net, --loss, --reorder,
+ *       --duplicate and --link-latency-us. The request they fill is
+ *       the single-node session's configuration, or, with --shards or
+ *       --wal, the request the control plane reconciles.
  *       --streaming overlaps trace collection with flow reconstruction
  *       (EXIST backend only), shrinking the trace-end-to-report-ready
  *       latency; the decoded output is bit-identical to batch.
- *       --no-decode-cache falls back to the legacy CFG-walk decoder
- *       and --tnt-memo-bits N sets the TNT-run memo window (0
- *       disables memoization; see DESIGN.md §11). Both are pure
- *       perf knobs: the report is bit-identical either way.
  *       --shards N switches to the sharded control plane: a demo
  *       cluster deploys <app>, a stream of anomaly requests reconciles
  *       across N API-server shards, and the merged reports print.
@@ -90,16 +89,20 @@
  * concurrency; --threads 1 is the fully serial path). The output is
  * bit-identical at any thread or shard count — they only change wall
  * time. Every command takes --threads and --shards values as integers
- * >= 0, where 0 keeps the default; any other value is rejected on
- * stderr with exit status 2.
+ * >= 0, where 0 keeps the default.
+ *
+ * Bad input is rejected before anything runs: a malformed manifest, an
+ * unknown app or backend, or a flag value that is not all number and
+ * in range prints one line on stderr and exits with status 2.
  */
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <limits>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -137,7 +140,6 @@ usage()
         "                      [--backend NAME] [--cores N]\n"
         "                      [--clients N] [--report] [--threads N]\n"
         "                      [--streaming] [--shards N]\n"
-        "                      [--no-decode-cache] [--tnt-memo-bits N]\n"
         "                      [--net] [--loss R] [--reorder R]\n"
         "                      [--duplicate R] [--link-latency-us N]\n"
         "       existctl cluster <manifest>... [--threads N]\n"
@@ -205,17 +207,6 @@ badValue(const std::string &flag, const char *text, const char *want)
     std::exit(2);
 }
 
-/** All of `text` as a finite number > 0, or badValue(). */
-double
-positiveArg(const std::string &flag, const char *text)
-{
-    char *end = nullptr;
-    double v = std::strtod(text, &end);
-    if (end == text || *end != '\0' || !(v > 0.0) || !std::isfinite(v))
-        badValue(flag, text, "a number > 0");
-    return v;
-}
-
 /** All of `text` as an integer >= `min` (0 or 1) that fits an int,
  *  or badValue(). --threads and --shards take min 0, where 0 means
  *  the default. */
@@ -231,66 +222,121 @@ intArg(const std::string &flag, const char *text, int min)
     return static_cast<int>(v);
 }
 
-/** Render the collection-plane knobs as manifest keys. */
+/** A --crash-at spec (durability/crash_point.h): a named point or
+ *  "step", optionally ":k" with an integer k >= 1; else badValue(). */
 std::string
-netManifest(const net::NetSpec &net)
+crashAtArg(const char *text)
 {
-    if (!net.enabled)
-        return "";
-    std::string m = " net=true";
-    if (net.drop_rate > 0)
-        m += " loss=" + std::to_string(net.drop_rate);
-    if (net.reorder_rate > 0)
-        m += " reorder=" + std::to_string(net.reorder_rate);
-    if (net.duplicate_rate > 0)
-        m += " duplicate=" + std::to_string(net.duplicate_rate);
-    if (net.link_latency_us != 50.0)
-        m += " link_latency_us=" + std::to_string(net.link_latency_us);
-    return m;
+    const char *const points[] = {"admit",        "post-plan",
+                                  "ingest-frame", "pre-store",
+                                  "mid-snapshot", "post-snapshot",
+                                  "step"};
+    std::string spec = text;
+    std::size_t colon = spec.rfind(':');
+    if (std::find(std::begin(points), std::end(points),
+                  spec.substr(0, colon)) == std::end(points))
+        badValue("--crash-at", text, "a crash point name[:k]");
+    if (colon != std::string::npos)
+        intArg("--crash-at", text + colon + 1, 1);
+    return spec;
 }
 
-/** `trace --shards N`: the same request, reconciled by the sharded
- *  control plane on a demo cluster deploying the app. */
-int
-traceSharded(const std::string &app, double period_ms,
-             std::uint64_t budget_mb, int shards, int threads,
-             bool decode_cache, int tnt_memo_bits,
-             const net::NetSpec &net)
+/** A command-line manifest as a TraceRequest, or one stderr line and
+ *  exit 2. */
+TraceRequest
+manifestArg(const char *text)
 {
+    TraceRequest req;
+    std::string error;
+    if (!TraceRequest::parse(text, &req, &error)) {
+        std::fprintf(stderr, "existctl: bad manifest: %s\n",
+                     error.c_str());
+        std::exit(2);
+    }
+    return req;
+}
+
+/** The trace flags that are manifest keys. --streaming and --net take
+ *  no value; they set their key to true. */
+struct RequestFlag {
+    const char *flag;
+    const char *key;
+    bool takes_value;
+};
+constexpr RequestFlag kRequestFlags[] = {
+    {"--period-ms", "period_ms", true},
+    {"--budget-mb", "budget_mb", true},
+    {"--streaming", "streaming", false},
+    {"--net", "net", false},
+    {"--loss", "loss", true},
+    {"--reorder", "reorder", true},
+    {"--duplicate", "duplicate", true},
+    {"--link-latency-us", "link_latency_us", true},
+};
+
+/** `trace --shards N` / `trace --wal DIR`: four copies of `req`
+ *  reconciled by the control plane on a demo cluster deploying the
+ *  app, journaled into `wal_dir` when one is given. stdout is
+ *  byte-identical across shard counts and with or without the
+ *  journal; telemetry goes to stderr. */
+int
+traceCluster(const TraceRequest &req, int shards, int threads,
+             const std::string &wal_dir, std::uint64_t snapshot_interval,
+             const std::string &crash_at)
+{
+    // Never hand 0 to ShardedMaster here: it would pick min(hw, 8)
+    // lanes, and a log must name the lane count it was written at.
+    shards = std::max(1, shards);
     ClusterConfig cc;
     cc.num_nodes = 6;
     cc.cores_per_node = 4;
     Cluster cluster(cc);
-    cluster.deploy(app, 3);
+    cluster.deploy(req.app, 3);
+
+    std::optional<durability::Journal> journal;
+    if (!wal_dir.empty()) {
+        durability::ClusterMeta meta;
+        meta.cluster_seed = cc.seed;
+        meta.num_nodes = cc.num_nodes;
+        meta.cores_per_node = cc.cores_per_node;
+        meta.shards = shards;
+        meta.snapshot_interval = snapshot_interval;
+        meta.deployments = {{req.app, 3}};
+        journal.emplace(
+            durability::DurabilitySpec{wal_dir, snapshot_interval}, meta,
+            &metrics::Registry::global());
+        note("existctl",
+             "journaling into WAL %s (snapshot interval %llu)%s%s",
+             wal_dir.c_str(), (unsigned long long)snapshot_interval,
+             crash_at.empty() ? "" : ", crash at ", crash_at.c_str());
+        if (!crash_at.empty())
+            durability::crashpoint::arm(crash_at);
+    }
 
     ShardedMaster master(&cluster, {}, shards, threads);
-    std::string manifest =
-        "app=" + app + " anomaly=true period_ms=" +
-        std::to_string(static_cast<long long>(period_ms)) +
-        " budget_mb=" + std::to_string(budget_mb);
-    if (!decode_cache)
-        manifest += " decode_cache=off";
-    if (tnt_memo_bits != 6)
-        manifest += " tnt_memo_bits=" + std::to_string(tnt_memo_bits);
-    manifest += netManifest(net);
+    if (journal)
+        master.attachJournal(&*journal);
     // The shard count goes to stderr with the other telemetry so
     // stdout is byte-comparable across shard counts.
     note("existctl", "tracing '%s' across %d control-plane shard%s...",
-         app.c_str(), master.shardCount(),
+         req.app.c_str(), master.shardCount(),
          master.shardCount() == 1 ? "" : "s");
 
+    // Submit everything first (all admissions durable before any
+    // reconcile-time crash point), reconcile once, snapshot if due.
     std::vector<std::uint64_t> ids;
     for (int i = 0; i < 4; ++i)
-        ids.push_back(master.apply(manifest));
+        ids.push_back(master.submit(req));
     auto t0 = std::chrono::steady_clock::now();
     master.reconcile();
     double wall_s = std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - t0)
                         .count();
+    if (journal)
+        journal->maybeSnapshot([&master] { return master.dumpState(); });
     printReports(master, ids);
 
-    // Wall-clock telemetry, so stderr: stdout stays byte-comparable
-    // across shard counts.
+    // Wall-clock telemetry, so stderr.
     metrics::Registry &reg = master.metrics();
     note("existctl",
          "reconciled %zu requests in %.1f ms "
@@ -299,76 +345,6 @@ traceSharded(const std::string &app, double period_ms,
          (unsigned long long)reg.histogram("reconcile.latency_us")
              .percentile(0.99),
          (unsigned long long)master.sessionsRun());
-    return 0;
-}
-
-/** `trace --wal DIR`: the demo deployment reconciled under the
- *  durability journal (no --shards => one lane). stdout is
- *  byte-identical to the same run without --wal. */
-int
-traceWal(const std::string &app, double period_ms,
-         std::uint64_t budget_mb, int shards, int threads,
-         bool decode_cache, int tnt_memo_bits, const net::NetSpec &net,
-         const std::string &wal_dir, std::uint64_t snapshot_interval,
-         const std::string &crash_at)
-{
-    // Never hand 0 to ShardedMaster here: it would pick min(hw, 8)
-    // lanes, and the log must name the lane count it was written at.
-    shards = std::max(1, shards);
-    ClusterConfig cc;
-    cc.num_nodes = 6;
-    cc.cores_per_node = 4;
-    Cluster cluster(cc);
-    cluster.deploy(app, 3);
-
-    durability::ClusterMeta meta;
-    meta.cluster_seed = cc.seed;
-    meta.num_nodes = cc.num_nodes;
-    meta.cores_per_node = cc.cores_per_node;
-    meta.shards = shards;
-    meta.snapshot_interval = snapshot_interval;
-    meta.deployments = {{app, 3}};
-
-    durability::DurabilitySpec dspec;
-    dspec.wal_dir = wal_dir;
-    dspec.snapshot_interval = snapshot_interval;
-    durability::Journal journal(dspec, meta,
-                                &metrics::Registry::global());
-
-    // wal= rides in the manifest to exercise the CRD key end to end;
-    // toManifest() omits it, so the printed request lines (and hence
-    // stdout) stay byte-comparable with a non-WAL golden run.
-    std::string manifest =
-        "app=" + app + " anomaly=true period_ms=" +
-        std::to_string(static_cast<long long>(period_ms)) +
-        " budget_mb=" + std::to_string(budget_mb);
-    if (!decode_cache)
-        manifest += " decode_cache=off";
-    if (tnt_memo_bits != 6)
-        manifest += " tnt_memo_bits=" + std::to_string(tnt_memo_bits);
-    manifest += netManifest(net);
-    manifest += " wal=" + wal_dir;
-
-    note("existctl",
-         "tracing '%s' under WAL %s (snapshot interval %llu, "
-         "%d shard%s)%s%s",
-         app.c_str(), wal_dir.c_str(),
-         (unsigned long long)snapshot_interval, shards,
-         shards == 1 ? "" : "s",
-         crash_at.empty() ? "" : ", crash at ", crash_at.c_str());
-    if (!crash_at.empty())
-        durability::crashpoint::arm(crash_at);
-
-    // Submit everything first (all admissions durable before any
-    // reconcile-time crash point), reconcile once, snapshot if due.
-    ShardedMaster master(&cluster, {}, shards, threads);
-    master.attachJournal(&journal);
-    std::vector<std::uint64_t> ids;
-    for (int i = 0; i < 4; ++i)
-        ids.push_back(master.apply(manifest));
-    master.reconcile();
-    journal.maybeSnapshot([&master] { return master.dumpState(); });
-    printReports(master, ids);
     return 0;
 }
 
@@ -441,19 +417,18 @@ cmdTrace(int argc, char **argv)
 {
     if (argc < 1)
         return usage();
-    std::string app = argv[0];
-    double period_ms = 200;
-    std::uint64_t budget_mb = 500;
+    // The manifest-backed flags fill this request through the CRD
+    // parser; the trace command's own default period is 200 ms.
+    TraceRequest req;
+    req.app = argv[0];
+    req.anomaly = true;
+    req.period_override = 200 * kCyclesPerMs;
     std::string backend = "EXIST";
     int cores = 4;
     int clients = 10;
     bool report = false;
-    bool streaming = false;
-    bool decode_cache = true;
-    int tnt_memo_bits = 6;
     int threads = 0;  // 0 = default pool (hardware concurrency)
     int shards = 0;   // 0 = single-node session (no control plane)
-    net::NetSpec net;
     std::string wal_dir;
     std::uint64_t snapshot_interval = 8;
     std::string crash_at;
@@ -467,79 +442,83 @@ cmdTrace(int argc, char **argv)
             }
             return argv[++i];
         };
-        if (arg == "--period-ms")
-            period_ms = positiveArg(arg, next());
-        else if (arg == "--budget-mb")
-            budget_mb = std::strtoull(next(), nullptr, 10);
-        else if (arg == "--backend")
+        const RequestFlag *rf = std::find_if(
+            std::begin(kRequestFlags), std::end(kRequestFlags),
+            [&arg](const RequestFlag &f) { return arg == f.flag; });
+        if (rf != std::end(kRequestFlags)) {
+            std::string error;
+            if (!req.set(rf->key, rf->takes_value ? next() : "true",
+                         &error)) {
+                std::fprintf(stderr, "existctl: %s: %s\n", rf->flag,
+                             error.c_str());
+                std::exit(2);
+            }
+        } else if (arg == "--backend")
             backend = next();
         else if (arg == "--cores")
             cores = intArg(arg, next(), 1);
         else if (arg == "--clients")
-            clients = std::atoi(next());
+            clients = intArg(arg, next(), 1);
         else if (arg == "--report")
             report = true;
-        else if (arg == "--streaming")
-            streaming = true;
-        else if (arg == "--no-decode-cache")
-            decode_cache = false;
-        else if (arg == "--tnt-memo-bits")
-            tnt_memo_bits = std::atoi(next());
         else if (arg == "--threads")
             threads = intArg(arg, next(), 0);
         else if (arg == "--shards")
             shards = intArg(arg, next(), 0);
-        else if (arg == "--net")
-            net.enabled = true;
-        else if (arg == "--loss")
-            net.drop_rate = std::atof(next());
-        else if (arg == "--reorder")
-            net.reorder_rate = std::atof(next());
-        else if (arg == "--duplicate")
-            net.duplicate_rate = std::atof(next());
-        else if (arg == "--link-latency-us")
-            net.link_latency_us = std::atof(next());
         else if (arg == "--wal")
             wal_dir = next();
         else if (arg == "--snapshot-interval")
-            snapshot_interval = std::strtoull(next(), nullptr, 10);
+            snapshot_interval = intArg(arg, next(), 0);
         else if (arg == "--crash-at")
-            crash_at = next();
+            crash_at = crashAtArg(next());
         else if (arg == "--self-trace")
             g_self_trace = next();
         else
             return usage();
     }
-    if (!wal_dir.empty())
-        return traceWal(app, period_ms, budget_mb, shards, threads,
-                        decode_cache, tnt_memo_bits, net, wal_dir,
-                        snapshot_interval, crash_at);
-    if (shards > 0)
-        return traceSharded(app, period_ms, budget_mb, shards, threads,
-                            decode_cache, tnt_memo_bits, net);
+    std::vector<std::string> apps = AppCatalog::allNames();
+    if (std::find(apps.begin(), apps.end(), req.app) == apps.end()) {
+        std::fprintf(stderr,
+                     "existctl: unknown app '%s' (see existctl "
+                     "list-apps)\n",
+                     req.app.c_str());
+        return 2;
+    }
+    const char *const backends[] = {"EXIST", "StaSam", "eBPF", "NHT",
+                                    "Oracle"};
+    if (std::find(std::begin(backends), std::end(backends), backend) ==
+        std::end(backends))
+        badValue("--backend", backend.c_str(),
+                 "EXIST, StaSam, eBPF, NHT or Oracle");
+    std::error_code ec;
+    if (!wal_dir.empty() && !std::filesystem::is_directory(wal_dir, ec) &&
+        !std::filesystem::create_directories(wal_dir, ec))
+        badValue("--wal", wal_dir.c_str(), "a directory it can create");
+    if (!wal_dir.empty() || shards > 0)
+        return traceCluster(req, shards, threads, wal_dir,
+                            snapshot_interval, crash_at);
 
-    AppProfile profile = AppCatalog::find(app);
+    const std::string &app = req.app;
     ExperimentSpec spec;
     spec.node.num_cores = cores;
     WorkloadSpec w{.app = app, .target = true};
-    if (profile.is_service)
+    if (AppCatalog::find(app).is_service)
         w.closed_clients = clients;
     spec.workloads.push_back(std::move(w));
     spec.backend = backend;
-    spec.session.period = static_cast<Cycles>(
-        period_ms * static_cast<double>(kCyclesPerMs));
-    spec.session.budget_mb = budget_mb;
+    spec.session.period = req.period_override;
+    spec.session.budget_mb = req.budget_mb;
     spec.decode = true;
     spec.decode_threads = threads;
-    spec.streaming = streaming;
-    spec.decode_cache = decode_cache;
-    spec.tnt_memo_bits = tnt_memo_bits;
+    spec.streaming = req.streaming;
 
     std::printf("tracing '%s' with %s for %.0f ms on a %d-core node "
                 "(budget %llu MB)...\n",
-                app.c_str(), backend.c_str(), period_ms, cores,
-                (unsigned long long)budget_mb);
+                app.c_str(), backend.c_str(),
+                cyclesToMs(req.period_override), cores,
+                (unsigned long long)req.budget_mb);
     ExperimentResult r = Testbed::run(spec);
+    const net::NetSpec net = req.netSpec();
     if (net.enabled) {
         // Route the result through the collection plane. stdout stays
         // byte-comparable with the in-process run (the ctest pins it);
@@ -595,14 +574,14 @@ cmdTrace(int argc, char **argv)
     return 0;
 }
 
-/** Reconcile `manifests` on the demo cluster through a ShardedMaster
+/** Reconcile `requests` on the demo cluster through a ShardedMaster
  *  recording into the global registry, and with `print` print the
  *  merged reports (cluster prints them; metrics/top/dump-flight share
  *  this to put live traffic behind their views). Returns the shard
  *  count actually used. */
 int
-reconcileDemoManifests(const std::vector<const char *> &manifests,
-                       int shards, int threads, bool print = false)
+reconcileDemoRequests(const std::vector<TraceRequest> &requests,
+                      int shards, int threads, bool print = false)
 {
     ClusterConfig cc;
     cc.num_nodes = 10;
@@ -615,8 +594,8 @@ reconcileDemoManifests(const std::vector<const char *> &manifests,
     cluster.deploy("Agent", 10);
     ShardedMaster master(&cluster, {}, shards, threads);
     std::vector<std::uint64_t> ids;
-    for (const char *manifest : manifests)
-        ids.push_back(master.apply(manifest));
+    for (const TraceRequest &req : requests)
+        ids.push_back(master.submit(req));
     master.reconcile();
     if (print)
         printReports(master, ids);
@@ -627,7 +606,7 @@ int
 cmdCluster(int argc, char **argv)
 {
     int threads = 0;
-    std::vector<const char *> manifests;
+    std::vector<TraceRequest> requests;
     for (int i = 0; i < argc; ++i) {
         if (std::strcmp(argv[i], "--threads") == 0) {
             if (i + 1 >= argc) {
@@ -636,13 +615,13 @@ cmdCluster(int argc, char **argv)
             }
             threads = intArg("--threads", argv[++i], 0);
         } else {
-            manifests.push_back(argv[i]);
+            requests.push_back(manifestArg(argv[i]));
         }
     }
-    if (manifests.empty())
+    if (requests.empty())
         return usage();
-    reconcileDemoManifests(manifests, /*shards=*/0, threads,
-                           /*print=*/true);
+    reconcileDemoRequests(requests, /*shards=*/0, threads,
+                          /*print=*/true);
     return 0;
 }
 
@@ -650,7 +629,7 @@ cmdCluster(int argc, char **argv)
  *  --shards N and --threads N, and for top (`redraw`) also
  *  --iterations N and --interval-ms M. */
 struct DemoArgs {
-    std::vector<const char *> manifests;
+    std::vector<TraceRequest> requests;
     int shards = 0;
     int threads = 0;
     int iterations = 1;
@@ -678,16 +657,16 @@ reconcileDemoArgs(int argc, char **argv, bool redraw)
         else if (arg == "--shards")
             a.shards = intArg(arg, next(), 0);
         else if (redraw && arg == "--iterations")
-            a.iterations = std::atoi(next());
+            a.iterations = intArg(arg, next(), 1);
         else if (redraw && arg == "--interval-ms")
-            a.interval_ms = std::atoi(next());
+            a.interval_ms = intArg(arg, next(), 0);
         else
-            a.manifests.push_back(argv[i]);
+            a.requests.push_back(manifestArg(argv[i]));
     }
-    if (!a.manifests.empty()) {
-        int used = reconcileDemoManifests(a.manifests, a.shards, a.threads);
+    if (!a.requests.empty()) {
+        int used = reconcileDemoRequests(a.requests, a.shards, a.threads);
         note("existctl", "reconciled %zu requests on %d shards",
-             a.manifests.size(), used);
+             a.requests.size(), used);
     }
     return a;
 }
