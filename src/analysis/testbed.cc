@@ -141,9 +141,7 @@ Testbed::run(const ExperimentSpec &spec)
 
     Rng seeds(spec.seed ^ 0x9d2c5680u);
     for (const WorkloadSpec &w : spec.workloads) {
-        std::uint64_t bseed =
-            w.binary_seed ? w.binary_seed : stableHash(w.app);
-        auto binary = binaryFor(w.app, bseed);
+        auto binary = binaryFor(w.app, stableHash(w.app));
         const AppProfile &profile = binary->profile();
 
         DeployedWorkload d;

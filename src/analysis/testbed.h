@@ -35,7 +35,6 @@ struct WorkloadSpec {
     std::string downstream;     ///< app name this service RPCs into
     /** RPCs per request to the downstream (-1 = profile default). */
     int downstream_rpcs = -1;
-    std::uint64_t binary_seed = 0;  ///< 0 = stable hash of app name
 };
 
 struct ExperimentSpec {

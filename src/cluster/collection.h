@@ -7,7 +7,7 @@
  * transfer completed within the retry budget.
  *
  * Every ShardedMaster lane calls collectPlan() between the run phase
- * and publishRequest(); `existctl trace --net` uses the single-session
+ * and capturePublish(); `existctl trace --net` uses the single-session
  * collectSessionResult(). Both are no-ops — the historical in-process
  * hand-off — unless their NetSpec is enabled: the request's
  * TraceRequest::netSpec() (its `net=` manifest keys) for collectPlan(),

@@ -3,19 +3,19 @@
  * The control plane's durability seam. The cluster library cannot
  * depend on src/durability/ (durability links against cluster), so
  * the control plane journals through this abstract interface: the
- * durability plane implements it with a WAL-backed Journal, tests
- * with fakes, and a null journal (the default) restores the
- * historical in-memory-only behaviour.
+ * durability plane implements it with a WAL-backed Journal and tests
+ * with fakes. With no journal attached (ShardedMaster's default) the
+ * control plane skips every hook and keeps its state in memory only.
  *
  * The WAL-before-state discipline lives in the *callers*: every hook
  * is invoked after the decision is final but BEFORE the corresponding
  * in-memory mutation, so a crash between append and apply loses no
  * acknowledged state — recovery treats the log as truth and replays
- * the mutation. Publishes are physical redo records: capturePublish()
- * runs the pure publishRequest() into a capture sink, the journal
- * logs the full effects (report, OSS objects, ODPS rows, ledger
- * delta), and only then does applyPublish() touch the real stores,
- * so a completed request is never re-run after recovery.
+ * the mutation. Publishes are physical redo records: the lane builds
+ * the full PublishEffects (report, OSS objects, ODPS rows, ledger
+ * delta; cluster/shard/plan.h), and the sequenced commit action logs
+ * them before it moves them into the stores, so a completed request
+ * is never re-run after recovery.
  */
 #ifndef EXIST_CLUSTER_CONTROL_JOURNAL_H
 #define EXIST_CLUSTER_CONTROL_JOURNAL_H
@@ -32,25 +32,6 @@
 #include "util/types.h"
 
 namespace exist {
-
-/** The coverage-ledger update one publish performs, logged so replay
- *  applies accounting without re-running the request. */
-struct LedgerDelta {
-    std::string app;
-    std::uint64_t sessions = 0;
-    Cycles period = 0;
-    std::uint64_t trace_bytes = 0;
-};
-
-/** Everything one publishRequest() produced, captured before any of
- *  it is applied to live state. */
-struct PublishEffects {
-    TraceReport report;
-    std::vector<std::pair<std::string, std::vector<std::uint8_t>>>
-        objects;
-    std::vector<TraceRow> rows;
-    LedgerDelta ledger;
-};
 
 /** Ingest reassembly cursor of one agent stream, persisted per
  *  in-order-consumed batch and used to resume the stream after
@@ -79,8 +60,8 @@ struct CollectHooks {
  * Full control-plane state image, produced by
  * ShardedMaster::dumpState() at a quiesced reconcile boundary (the
  * snapshot barrier) and installed by restoreForRecovery(). Maps keep
- * it deterministically ordered; objects/rows are sorted by the
- * dumper.
+ * it deterministically ordered; objects/rows are the stores' sorted
+ * views (cluster/storage.h).
  */
 struct ControlStateDump {
     std::uint64_t next_id = 1;
@@ -107,18 +88,12 @@ class ControlJournal
     /** Hooks for this request's collection run (ingest watermarks +
      *  recovered resume cursors). */
     virtual CollectHooks collectHooks(std::uint64_t id) = 0;
-    /** Publish effects are final; applying them to stores/ledger/
-     *  report map follows. */
+    /** Publish effects are final; called from the sequenced commit
+     *  action (so in global id order), before it applies them to the
+     *  stores, the ledger and the report map. */
     virtual void onPublish(std::uint64_t id,
                            const PublishEffects &fx) = 0;
 };
-
-/** Run the pure publish into a capture sink; no live state touched. */
-PublishEffects capturePublish(RequestPlan &plan);
-
-/** Apply captured effects to the real data-path sink (consumes the
- *  object/row payloads; the report/ledger delta stay readable). */
-void applyPublish(PublishEffects &fx, StoreSink &sink);
 
 }  // namespace exist
 

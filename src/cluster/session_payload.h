@@ -1,7 +1,7 @@
 /**
  * @file
  * Serialization of the collection-borne slice of an ExperimentResult:
- * exactly the fields publishRequest() reads from a completed session
+ * exactly the fields capturePublish() reads from a completed session
  * (raw traces, decoded/truth function profiles, decoded branch count,
  * wall accuracy, the target app's CPI). A session that travels the
  * simulated fabric is stripped of these fields at the worker, shipped

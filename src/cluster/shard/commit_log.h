@@ -10,9 +10,10 @@
  *
  *  2. Ordered commits: per-epoch, each reconciled request is assigned
  *     a commit sequence number (its rank in id order) and its
- *     *commit action* — the small sequenced tail of publishing:
- *     report registration, RCO coverage accounting, the phase flip —
- *     is applied strictly in sequence order. The log is a reorder
+ *     *commit action* — the sequenced tail of publishing: the journal
+ *     record, the moves into the object and table stores, RCO
+ *     coverage accounting, report registration, the phase flip — is
+ *     applied strictly in sequence order. The log is a reorder
  *     buffer, not a barrier: a shard that finishes out of order stages
  *     its action and moves on; whoever completes the missing sequence
  *     applies the whole ready run. Shards therefore never *block* on
@@ -20,9 +21,9 @@
  *     than the shard count (a blocked shard loop could otherwise wait
  *     for a shard that has not been scheduled yet).
  *
- * The bulky data-path writes (OSS objects, ODPS rows) deliberately do
- * NOT go through the log — they are order-independent and hit the
- * striped stores concurrently.
+ * The action is the only writer of a request's published results.
+ * They were built beforehand on the lane (capturePublish), so the
+ * action only journals them and moves them into place.
  */
 #ifndef EXIST_CLUSTER_SHARD_COMMIT_LOG_H
 #define EXIST_CLUSTER_SHARD_COMMIT_LOG_H
@@ -64,8 +65,9 @@ class CommitLog
      * Commit sequence `seq` with action `fn`. Applies fn immediately
      * when seq is next in order (then drains any staged successors),
      * otherwise stages it. Actions run under the log mutex: keep them
-     * small (map insert, ledger update, phase flip). Returns the
-     * number of actions applied by this call (0 = staged).
+     * small (a WAL append, moves into the stores, map inserts, ledger
+     * update, phase flip). Returns the number of actions applied by
+     * this call (0 = staged).
      */
     std::size_t commit(std::uint64_t seq, std::function<void()> fn);
 
@@ -77,9 +79,9 @@ class CommitLog
   private:
     std::atomic<std::uint64_t> next_id_{1};
 
-    // Rank kCommitLog sits BELOW kShard in the lock hierarchy: commit
-    // actions legitimately acquire their shard's state lock while the
-    // log mutex is held (drain of staged successors).
+    // Rank kCommitLog sits BELOW kShard, kWal, kStore and kMetrics in
+    // the lock hierarchy: commit actions legitimately acquire each of
+    // those while the log mutex is held (drain of staged successors).
     mutable Mutex mu_{lockorder::LockRank::kCommitLog, "commitlog"};
     std::uint64_t next_seq_ EXIST_GUARDED_BY(mu_) = 0;
     std::uint64_t epoch_entries_ EXIST_GUARDED_BY(mu_) = 0;

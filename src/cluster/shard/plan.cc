@@ -1,6 +1,7 @@
 #include "cluster/shard/plan.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "analysis/accuracy.h"
 #include "util/logging.h"
@@ -96,12 +97,13 @@ planRequest(Cluster *cluster,
     return plan;
 }
 
-TraceReport
-publishRequest(RequestPlan &plan, StoreSink &sink)
+PublishEffects
+capturePublish(RequestPlan &plan)
 {
     TraceRequest &req = *plan.req;
 
-    TraceReport report;
+    PublishEffects fx;
+    TraceReport &report = fx.report;
     report.request_id = req.id;
     report.app = req.app;
     report.period = plan.period;
@@ -113,7 +115,7 @@ publishRequest(RequestPlan &plan, StoreSink &sink)
     for (SessionPlan &session : plan.sessions) {
         ExperimentResult &result = session.result;
 
-        // Data path: raw trace objects go to OSS, decoded rows to ODPS.
+        // Data path: raw trace objects for OSS, decoded rows for ODPS.
         std::uint64_t bytes = 0;
         for (std::size_t i = 0; i < result.raw_traces.size(); ++i) {
             const CollectedTrace &ct = result.raw_traces[i];
@@ -122,7 +124,7 @@ publishRequest(RequestPlan &plan, StoreSink &sink)
                               std::to_string(req.id) + "/node" +
                               std::to_string(session.node) + "/core" +
                               std::to_string(ct.core);
-            sink.putObject(key, ct.bytes);
+            fx.objects.emplace_back(std::move(key), ct.bytes);
         }
         report.total_trace_bytes += bytes;
 
@@ -135,7 +137,7 @@ publishRequest(RequestPlan &plan, StoreSink &sink)
         row.accuracy = result.accuracy_wall;
         row.function_insns = result.decoded_function_insns;
         row.function_entries = result.decoded_function_entries;
-        sink.insertRow(std::move(row));
+        fx.rows.push_back(std::move(row));
 
         report.traced_nodes.push_back(session.node);
         report.per_worker_accuracy.push_back(result.accuracy_wall);
@@ -156,7 +158,12 @@ publishRequest(RequestPlan &plan, StoreSink &sink)
         plan.workers.empty()
             ? 0.0
             : cpi_sum / static_cast<double>(plan.workers.size());
-    return report;
+
+    fx.ledger.app = req.app;
+    fx.ledger.sessions = plan.sessions.size();
+    fx.ledger.period = plan.period;
+    fx.ledger.trace_bytes = report.total_trace_bytes;
+    return fx;
 }
 
 }  // namespace exist

@@ -1,11 +1,12 @@
 /**
  * @file
  * Reconcile phases of the control plane: planning one TraceRequest
- * into worker-node sessions and publishing the completed sessions into
- * storage + a merged report. Every ShardedMaster lane runs these same
- * functions, and journaled publishes go through them too
- * (capturePublish), so a report does not depend on which lane or
- * thread produced it.
+ * into worker-node sessions, and capturing what the completed
+ * sessions publish (trace objects, decoded rows, a merged report and
+ * a coverage-ledger delta). Every ShardedMaster lane runs these same
+ * pure functions, and only the lane's sequenced commit action applies
+ * what capturePublish returns, so a report does not depend on which
+ * lane or thread produced it, or on whether a journal is attached.
  *
  * Determinism contract: planning draws randomness from a *per-request*
  * RNG stream derived by splitmix64 over (cluster seed, request id), so
@@ -18,6 +19,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/testbed.h"
@@ -89,29 +91,35 @@ RequestPlan planRequest(Cluster *cluster,
                         const RepetitionAwareCoverageOptimizer &rco,
                         TraceRequest &req, int threads);
 
-/**
- * Data-path sink for phase 3: raw trace objects and decoded rows. The
- * ShardedMaster backs it with the striped stores (+ metrics); the
- * durability plane's capture sink records the effects instead.
- */
-class StoreSink
-{
-  public:
-    virtual ~StoreSink() = default;
-    virtual void putObject(const std::string &key,
-                           std::vector<std::uint8_t> bytes) = 0;
-    virtual void insertRow(TraceRow row) = 0;
+/** The coverage-ledger update one publish performs, logged so replay
+ *  applies accounting without re-running the request. */
+struct LedgerDelta {
+    std::string app;
+    std::uint64_t sessions = 0;
+    Cycles period = 0;
+    std::uint64_t trace_bytes = 0;
+};
+
+/** Everything one completed request publishes. */
+struct PublishEffects {
+    TraceReport report;
+    /** OSS (key, bytes) and ODPS rows, in plan order. */
+    std::vector<std::pair<std::string, std::vector<std::uint8_t>>>
+        objects;
+    std::vector<TraceRow> rows;
+    LedgerDelta ledger;
 };
 
 /**
- * Phase 3 — publish: upload traces, write rows, assemble the merged
- * report from completed session results. Pure function of the plan
- * contents and the request fields; iterates sessions in plan order, so
- * the report bytes do not depend on who calls it. Does NOT flip the
- * request phase or register the report — the caller sequences those
- * (the sharded path through its commit log).
+ * Phase 3 — publish: build what a completed plan publishes: the raw
+ * trace objects, the decoded rows, the merged report and the ledger
+ * delta. Pure function of the plan contents and the request fields;
+ * iterates sessions in plan order, so the effects do not depend on
+ * who calls it. Touches no live state: the caller's sequenced commit
+ * journals the effects, moves them into the stores, records the
+ * ledger delta and registers the report.
  */
-TraceReport publishRequest(RequestPlan &plan, StoreSink &sink);
+PublishEffects capturePublish(RequestPlan &plan);
 
 }  // namespace exist
 

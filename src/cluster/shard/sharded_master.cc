@@ -13,46 +13,6 @@
 
 namespace exist {
 
-namespace {
-
-/** Data-path sink over the striped stores, counting as it writes. */
-class StripedSink : public StoreSink
-{
-  public:
-    StripedSink(StripedObjectStore &oss, StripedOdpsTable &odps,
-                metrics::Registry &metrics)
-        : oss_(oss), odps_(odps), puts_(metrics.counter("oss.puts")),
-          bytes_(metrics.counter("oss.bytes")),
-          inserts_(metrics.counter("odps.inserts"))
-    {
-    }
-
-    void
-    putObject(const std::string &key,
-              std::vector<std::uint8_t> bytes) override
-    {
-        bytes_.add(bytes.size());
-        oss_.put(key, std::move(bytes));
-        puts_.add();
-    }
-
-    void
-    insertRow(TraceRow row) override
-    {
-        odps_.insert(std::move(row));
-        inserts_.add();
-    }
-
-  private:
-    StripedObjectStore &oss_;
-    StripedOdpsTable &odps_;
-    metrics::Counter &puts_;
-    metrics::Counter &bytes_;
-    metrics::Counter &inserts_;
-};
-
-}  // namespace
-
 ShardedMaster::ShardedMaster(Cluster *cluster, RcoConfig rco_cfg,
                              int shards, int threads,
                              metrics::Registry *metrics)
@@ -254,60 +214,54 @@ ShardedMaster::reconcileShard(std::size_t index,
                         journal_ != nullptr ? &hooks : nullptr);
         }
 
-        // Bulk data path goes to the striped stores concurrently;
-        // only the small sequenced tail rides the commit log. With a
-        // journal attached, the publish is captured here (pure, still
-        // concurrent) but journaled AND applied inside the sequenced
-        // action, so WAL publish order equals global id order and the
-        // kPublish append precedes every store/ledger write.
-        TraceReport report;
+        // Publishing is pure, so it runs here, in parallel with the
+        // other lanes. The sequenced commit action below is the only
+        // writer of what it built: it journals the effects first (WAL
+        // before state), then moves them into the stores, the ledger
+        // and the report map, all in global id order.
         PublishEffects fx;
         bool completed = plan.outcome == RequestPhase::kRunning;
         if (completed) {
             EXIST_SPAN("reconcile.publish", id);
-            if (journal_ != nullptr) {
-                fx = capturePublish(plan);
-            } else {
-                StripedSink sink(oss_, odps_, *metrics_);
-                report = publishRequest(plan, sink);
-            }
+            fx = capturePublish(plan);
         }
 
-        std::uint64_t sessions = plan.sessions.size();
-        Cycles period = plan.period;
         // The sequenced action may drain on whichever shard thread
         // reaches the reorder buffer: link the handoff with a flow.
         std::uint64_t commit_corr = obs::corrId(id, seq_of.at(id));
         obs::flowBegin("commitlog.action", commit_corr);
         std::size_t applied = log_.commit(
-            seq_of.at(id),
-            [this, &shard, req, completed, sessions, period, commit_corr,
-             report = std::move(report),
-             fx = std::move(fx)]() mutable {
+            seq_of.at(id), [this, &shard, req, completed, commit_corr,
+                            fx = std::move(fx)]() mutable {
                 EXIST_SPAN("commitlog.action", commit_corr);
                 obs::flowEnd("commitlog.action", commit_corr);
                 if (!completed)
                     return;  // failed during planning: stays kFailed
-                if (journal_ != nullptr) {
+                if (journal_ != nullptr)
                     journal_->onPublish(req->id, fx);
-                    StripedSink sink(oss_, odps_, *metrics_);
-                    applyPublish(fx, sink);
-                    report = std::move(fx.report);
-                    ledger_.recordRequest(fx.ledger.app,
-                                          fx.ledger.sessions,
-                                          fx.ledger.period,
-                                          fx.ledger.trace_bytes);
-                } else {
-                    ledger_.recordRequest(req->app, sessions, period,
-                                          report.total_trace_bytes);
+                metrics::Counter &puts = metrics_->counter("oss.puts");
+                metrics::Counter &bytes = metrics_->counter("oss.bytes");
+                metrics::Counter &inserts =
+                    metrics_->counter("odps.inserts");
+                for (auto &[key, object] : fx.objects) {
+                    bytes.add(object.size());
+                    oss_.put(key, std::move(object));
+                    puts.add();
                 }
+                for (TraceRow &row : fx.rows) {
+                    odps_.insert(std::move(row));
+                    inserts.add();
+                }
+                ledger_.recordRequest(fx.ledger.app, fx.ledger.sessions,
+                                      fx.ledger.period,
+                                      fx.ledger.trace_bytes);
                 {
                     // The phase flip must ride the same lock as the
                     // report registration: this action may run on
                     // whichever shard thread drained the reorder
                     // buffer, racing phaseOf()/report() readers.
                     MutexLock lk(shard.mu);
-                    shard.reports.emplace(req->id, std::move(report));
+                    shard.reports.emplace(req->id, std::move(fx.report));
                     req->phase = RequestPhase::kCompleted;
                 }
             });
@@ -404,7 +358,7 @@ ShardedMaster::managementFootprint() const
     // sub-linear growth toward per-mille overhead at thousand scale.
     // Per-shard footprints summed: each shard carries its slice of the
     // API-server state plus a fixed per-shard overhead (reconcile
-    // loop, stripe locks). Pool threads are parked outside reconcile,
+    // loop, shard lock). Pool threads are parked outside reconcile,
     // so they cost stack memory and housekeeping, not cores.
     double nodes = cluster_->numNodes();
     auto nshards = static_cast<double>(shards_.size());

@@ -13,11 +13,12 @@
  * RNG streams — is partitioned across N shards by request id; each
  * shard runs its own reconcile lane on the runtime work-stealing pool,
  * fanning its request's worker-node sessions out onto the same pool,
- * and publishes to lock-striped stores so shards never contend on one
- * store mutex. Cross-shard invariants (the global id stream, RCO
- * coverage accounting, report registration order) go through a small
- * sequenced CommitLog. One lane with one thread is the serial
- * reference every determinism check compares against.
+ * and builds the request's publish effects there. A sequenced
+ * CommitLog then applies them in global id order: its commit action is
+ * the only writer of the stores, the RCO coverage ledger and the
+ * report map, with or without a journal attached. One lane with one
+ * thread is the serial reference every determinism check compares
+ * against.
  *
  * Determinism: reports are bit-identical at any shard count, thread
  * count and scheduling, because
@@ -26,8 +27,8 @@
  *   - sessions are deterministic simulations keyed by (seed, node,
  *     request id),
  *   - publishing iterates sessions in plan order (shared
- *     publishRequest), and
- *   - the sequenced commit applies coverage accounting in global
+ *     capturePublish), and
+ *   - the sequenced commit applies every publish in global
  *     request-id order.
  * Only wall-clock time changes with the shard and thread counts.
  */
@@ -46,7 +47,7 @@
 #include "cluster/metrics.h"
 #include "cluster/shard/commit_log.h"
 #include "cluster/shard/plan.h"
-#include "cluster/shard/striped_store.h"
+#include "cluster/storage.h"
 #include "core/rco.h"
 #include "util/thread_annotations.h"
 
@@ -92,8 +93,10 @@ class ShardedMaster
     /** Lock-synchronized phase read; safe while reconcile runs. */
     RequestPhase phaseOf(std::uint64_t id) const;
 
-    StripedObjectStore &oss() { return oss_; }
-    StripedOdpsTable &odps() { return odps_; }
+    /** Read-only: only sequenced commits (and restoreForRecovery)
+     *  write the stores. Safe to read while reconcile runs. */
+    const ObjectStore &oss() const { return oss_; }
+    const OdpsTable &odps() const { return odps_; }
     const RepetitionAwareCoverageOptimizer &rco() const { return rco_; }
     /** Coverage accounting, committed in request-id order. */
     const CoverageLedger &coverage() const { return ledger_; }
@@ -116,14 +119,14 @@ class ShardedMaster
     /**
      * Attach the durability journal (cluster/control_journal.h).
      * Admission/plan hooks run WAL-before-state on the shard lanes;
-     * publish effects are journaled inside the sequenced commit
-     * action, so WAL publish order equals global id order. nullptr
-     * detaches.
+     * the sequenced commit action journals each publish before it
+     * applies it, so WAL publish order equals global id order.
+     * nullptr detaches.
      */
     void attachJournal(ControlJournal *journal) { journal_ = journal; }
 
     /** Full state image at a quiesced boundary (snapshot barrier):
-     *  shard maps merged, stores in their deterministic sorted view. */
+     *  shard maps merged, stores in their sorted views. */
     ControlStateDump dumpState() const;
     /** Recovery-only: install a recovered image wholesale (requests
      *  and reports re-partitioned onto this instance's shards). */
@@ -164,9 +167,10 @@ class ShardedMaster
     ControlJournal *journal_ = nullptr;
     std::vector<std::unique_ptr<Shard>> shards_;
     CommitLog log_;
-    CoverageLedger ledger_;  ///< mutated only inside sequenced commits
-    StripedObjectStore oss_;
-    StripedOdpsTable odps_;
+    // Written only inside sequenced commits and restoreForRecovery.
+    CoverageLedger ledger_;
+    ObjectStore oss_;
+    OdpsTable odps_;
     std::atomic<std::uint64_t> sessions_run_{0};
 };
 

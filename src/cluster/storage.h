@@ -6,12 +6,13 @@
  * binaries from there and writes structured results to an ODPS-style
  * table store that users query for analysis.
  *
- * Neither store is internally synchronized: instances are owned, one
- * per stripe, by the striped wrappers (cluster/shard/striped_store.h)
- * whose annotated stripe locks are their only guard — the
- * EXIST_GUARDED_BY on those stripe members is what makes Clang's
- * thread-safety analysis check every concurrent access path to this
- * file's classes.
+ * The control plane writes both stores only from its sequenced commit
+ * actions (and from recovery's restore before reconcile), so writes
+ * arrive one at a time in global request-id order. Readers may poll
+ * from any thread, so each store owns one kStore mutex that every
+ * access takes. A reference or pointer a read returns stays valid
+ * until the next write of the same key (OSS) or the next insert
+ * (ODPS).
  */
 #ifndef EXIST_CLUSTER_STORAGE_H
 #define EXIST_CLUSTER_STORAGE_H
@@ -19,8 +20,10 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "util/thread_annotations.h"
 #include "util/types.h"
 
 namespace exist {
@@ -29,23 +32,27 @@ namespace exist {
 class ObjectStore
 {
   public:
-    void put(const std::string &key, std::vector<std::uint8_t> bytes);
-    bool exists(const std::string &key) const;
-    const std::vector<std::uint8_t> &get(const std::string &key) const;
-    std::vector<std::string> listPrefix(const std::string &prefix) const;
-    std::uint64_t totalBytes() const { return total_bytes_; }
-    std::size_t objectCount() const { return objects_.size(); }
+    void put(const std::string &key, std::vector<std::uint8_t> bytes)
+        EXIST_EXCLUDES(mu_);
+    bool exists(const std::string &key) const EXIST_EXCLUDES(mu_);
+    const std::vector<std::uint8_t> &get(const std::string &key) const
+        EXIST_EXCLUDES(mu_);
+    /** Matching keys, sorted. */
+    std::vector<std::string> listPrefix(const std::string &prefix) const
+        EXIST_EXCLUDES(mu_);
+    std::uint64_t totalBytes() const EXIST_EXCLUDES(mu_);
+    std::size_t objectCount() const EXIST_EXCLUDES(mu_);
 
-    /** Full key-sorted view (durability snapshots serialize this). */
-    const std::map<std::string, std::vector<std::uint8_t>> &
-    objects() const
-    {
-        return objects_;
-    }
+    /** Every (key, bytes), sorted by key: the copy durability
+     *  snapshots serialize. */
+    std::vector<std::pair<std::string, std::vector<std::uint8_t>>>
+    allObjects() const EXIST_EXCLUDES(mu_);
 
   private:
-    std::map<std::string, std::vector<std::uint8_t>> objects_;
-    std::uint64_t total_bytes_ = 0;
+    mutable Mutex mu_{lockorder::LockRank::kStore, "cluster.oss"};
+    std::map<std::string, std::vector<std::uint8_t>> objects_
+        EXIST_GUARDED_BY(mu_);
+    std::uint64_t total_bytes_ EXIST_GUARDED_BY(mu_) = 0;
 };
 
 /** One decoded-trace row in the structured store. */
@@ -62,22 +69,29 @@ struct TraceRow {
     bool operator==(const TraceRow &) const = default;
 };
 
-/** Structured result storage (ODPS mock) with query-by-app. */
+/**
+ * Structured result storage (ODPS mock). Rows are kept in
+ * (request_id, node) order, rows with equal keys in insertion order,
+ * so every view below is the same whatever order the rows arrived in.
+ */
 class OdpsTable
 {
   public:
-    void insert(TraceRow row);
-    std::vector<const TraceRow *> queryApp(const std::string &app) const;
+    void insert(TraceRow row) EXIST_EXCLUDES(mu_);
+    /** Rows of one app / request, in (request_id, node) order. */
+    std::vector<const TraceRow *> queryApp(const std::string &app) const
+        EXIST_EXCLUDES(mu_);
     std::vector<const TraceRow *>
-    queryRequest(std::uint64_t request_id) const;
-    std::size_t rowCount() const { return rows_.size(); }
+    queryRequest(std::uint64_t request_id) const EXIST_EXCLUDES(mu_);
+    std::size_t rowCount() const EXIST_EXCLUDES(mu_);
 
-    /** Full insertion-order view (durability snapshots serialize
-     *  this; restoring by re-insert preserves the order). */
-    const std::vector<TraceRow> &rows() const { return rows_; }
+    /** Every row in (request_id, node) order: the copy durability
+     *  snapshots serialize. */
+    std::vector<TraceRow> allRows() const EXIST_EXCLUDES(mu_);
 
   private:
-    std::vector<TraceRow> rows_;
+    mutable Mutex mu_{lockorder::LockRank::kStore, "cluster.odps"};
+    std::vector<TraceRow> rows_ EXIST_GUARDED_BY(mu_);
 };
 
 }  // namespace exist

@@ -39,9 +39,9 @@ namespace exist::lockorder {
 /**
  * Ranks of the repo's lock sites. Gaps leave room for new subsystems;
  * what matters is the relative order, which mirrors the nesting the
- * code actually performs (a CommitLog commit action acquires the
- * owning shard's state lock; everything else nests forward into
- * stores/metrics or not at all).
+ * code actually performs (a CommitLog commit action acquires the WAL,
+ * store, metrics and owning shard's state locks, one at a time;
+ * everything else nests forward into stores/metrics or not at all).
  */
 enum class LockRank : int {
     kPool = 0,         ///< runtime/thread_pool deque + idle locks
@@ -54,7 +54,8 @@ enum class LockRank : int {
     kWal = 45,         ///< durability WAL appender (taken inside
                        ///< commit actions and shard/ingest callbacks,
                        ///< before any store/metrics acquire)
-    kStore = 50,       ///< striped OSS/ODPS stripe locks
+    kStore = 50,       ///< the OSS and ODPS store locks (written in
+                       ///< commit actions, read from any thread)
     kMetrics = 60,     ///< metrics registry stripe locks
     kObs = 70,         ///< obs collector dump lock (trace snapshot /
                        ///< flight dump serialization; the span *emit*

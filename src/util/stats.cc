@@ -9,34 +9,6 @@
 namespace exist {
 
 void
-RunningStat::add(double x)
-{
-    if (n_ == 0) {
-        min_ = max_ = x;
-    } else {
-        min_ = std::min(min_, x);
-        max_ = std::max(max_, x);
-    }
-    ++n_;
-    sum_ += x;
-    double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-}
-
-double
-RunningStat::variance() const
-{
-    return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double
-RunningStat::stddev() const
-{
-    return std::sqrt(variance());
-}
-
-void
 Samples::sort() const
 {
     if (!sorted_) {
@@ -88,41 +60,6 @@ Samples::percentile(double p) const
     std::size_t hi = std::min(lo + 1, values_.size() - 1);
     double frac = rank - static_cast<double>(lo);
     return values_[lo] + frac * (values_[hi] - values_[lo]);
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)),
-      counts_(buckets, 0)
-{
-    EXIST_ASSERT(hi > lo && buckets > 0, "bad histogram bounds");
-}
-
-void
-Histogram::add(double x)
-{
-    ++total_;
-    if (x < lo_) {
-        ++underflow_;
-    } else if (x >= hi_) {
-        ++overflow_;
-    } else {
-        auto idx = static_cast<std::size_t>((x - lo_) / width_);
-        if (idx >= counts_.size())
-            idx = counts_.size() - 1;
-        ++counts_[idx];
-    }
-}
-
-double
-Histogram::bucketLow(std::size_t i) const
-{
-    return lo_ + width_ * static_cast<double>(i);
-}
-
-double
-Histogram::bucketHigh(std::size_t i) const
-{
-    return bucketLow(i) + width_;
 }
 
 Cdf::Cdf(std::vector<double> samples) : sorted_(std::move(samples))

@@ -1,40 +1,16 @@
 /**
  * @file
- * Statistics helpers used throughout the harness: running moments,
- * percentile extraction, histograms and empirical CDFs.
+ * Statistics helpers used throughout the harness: percentile
+ * extraction and empirical CDFs.
  */
 #ifndef EXIST_UTIL_STATS_H
 #define EXIST_UTIL_STATS_H
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
 namespace exist {
-
-/** Welford running mean/variance accumulator. */
-class RunningStat
-{
-  public:
-    void add(double x);
-
-    std::size_t count() const { return n_; }
-    double mean() const { return n_ ? mean_ : 0.0; }
-    double variance() const;
-    double stddev() const;
-    double min() const { return n_ ? min_ : 0.0; }
-    double max() const { return n_ ? max_ : 0.0; }
-    double sum() const { return sum_; }
-
-  private:
-    std::size_t n_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-    double sum_ = 0.0;
-};
 
 /**
  * Sample reservoir with percentile queries. Keeps all samples; intended
@@ -63,32 +39,6 @@ class Samples
 
     mutable std::vector<double> values_;
     mutable bool sorted_ = false;
-};
-
-/** Fixed-bucket histogram over [lo, hi) with overflow buckets. */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, std::size_t buckets);
-
-    void add(double x);
-
-    std::size_t bucketCount() const { return counts_.size(); }
-    std::uint64_t bucket(std::size_t i) const { return counts_[i]; }
-    std::uint64_t underflow() const { return underflow_; }
-    std::uint64_t overflow() const { return overflow_; }
-    std::uint64_t total() const { return total_; }
-    double bucketLow(std::size_t i) const;
-    double bucketHigh(std::size_t i) const;
-
-  private:
-    double lo_;
-    double hi_;
-    double width_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t underflow_ = 0;
-    std::uint64_t overflow_ = 0;
-    std::uint64_t total_ = 0;
 };
 
 /**

@@ -5,6 +5,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <vector>
+
 #include "cluster/crd.h"
 #include "cluster/shard/sharded_master.h"
 #include "cluster/storage.h"
@@ -139,15 +142,50 @@ TEST(ObjectStoreTest, PutGetListAndOverwrite)
     EXPECT_EQ(oss.objectCount(), 3u);
 }
 
+/** (request_id, node, period) of each row, in the order given. */
+std::vector<std::tuple<std::uint64_t, NodeId, Cycles>>
+rowKeys(const std::vector<const TraceRow *> &rows)
+{
+    std::vector<std::tuple<std::uint64_t, NodeId, Cycles>> keys;
+    for (const TraceRow *r : rows)
+        keys.emplace_back(r->request_id, r->node, r->period);
+    return keys;
+}
+
 TEST(OdpsTableTest, QueriesByAppAndRequest)
 {
+    // Rows arrive out of (request_id, node) order. Every view returns
+    // them in that order, and rows with equal keys (two replicas on
+    // one node) in insertion order, told apart here by `period`.
     OdpsTable odps;
-    odps.insert(TraceRow{.app = "a", .node = 1, .request_id = 10});
     odps.insert(TraceRow{.app = "a", .node = 2, .request_id = 11});
-    odps.insert(TraceRow{.app = "b", .node = 1, .request_id = 10});
-    EXPECT_EQ(odps.queryApp("a").size(), 2u);
-    EXPECT_EQ(odps.queryRequest(10).size(), 2u);
-    EXPECT_EQ(odps.queryApp("c").size(), 0u);
+    odps.insert(TraceRow{.app = "b", .node = 3, .request_id = 10});
+    odps.insert(
+        TraceRow{.app = "a", .node = 1, .request_id = 11, .period = 1});
+    odps.insert(TraceRow{.app = "a", .node = 1, .request_id = 10});
+    odps.insert(
+        TraceRow{.app = "a", .node = 1, .request_id = 11, .period = 2});
+    using Key = std::tuple<std::uint64_t, NodeId, Cycles>;
+
+    EXPECT_EQ(rowKeys(odps.queryApp("a")),
+              (std::vector<Key>{{10, 1, 0}, {11, 1, 1}, {11, 1, 2},
+                                {11, 2, 0}}));
+    EXPECT_EQ(rowKeys(odps.queryRequest(10)),
+              (std::vector<Key>{{10, 1, 0}, {10, 3, 0}}));
+    EXPECT_EQ(rowKeys(odps.queryRequest(11)),
+              (std::vector<Key>{{11, 1, 1}, {11, 1, 2}, {11, 2, 0}}));
+    EXPECT_TRUE(odps.queryApp("c").empty());
+    EXPECT_TRUE(odps.queryRequest(12).empty());
+
+    // The dump copy durability snapshots serialize: the same order.
+    std::vector<TraceRow> all = odps.allRows();
+    std::vector<const TraceRow *> all_ptrs;
+    for (const TraceRow &r : all)
+        all_ptrs.push_back(&r);
+    EXPECT_EQ(rowKeys(all_ptrs),
+              (std::vector<Key>{{10, 1, 0}, {10, 3, 0}, {11, 1, 1},
+                                {11, 1, 2}, {11, 2, 0}}));
+    EXPECT_EQ(odps.rowCount(), 5u);
 }
 
 TEST(ClusterTest, RoundRobinPlacement)

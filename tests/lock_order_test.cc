@@ -164,7 +164,7 @@ TEST_F(LockOrderTest, MutexHooksReportInversion)
 TEST_F(LockOrderTest, MutexHooksAcceptHierarchy)
 {
     // The documented nesting the code actually performs: commit log,
-    // then shard state, then a store stripe, then metrics.
+    // then shard state, then a store, then metrics.
     Mutex log(LockRank::kCommitLog, "test.log");
     Mutex shard(LockRank::kShard, "test.shard");
     Mutex store(LockRank::kStore, "test.store");

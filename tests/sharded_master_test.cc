@@ -4,16 +4,19 @@
  * (ShardedMaster reports are bit-identical to the serial reference —
  * one lane, one thread — for any shard count × thread count × submit
  * order), commit-log ordering, and TSan-targeted stress of concurrent
- * submits, lane-level session fan-out, striped stores and the
- * lock-striped metrics registry (runs in the `concurrency` suite).
+ * submits, lane-level session fan-out, journaled publishes read back
+ * while they commit, and the lock-striped metrics registry (runs in
+ * the `concurrency` suite).
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cluster/control_journal.h"
 #include "cluster/metrics.h"
 #include "cluster/shard/commit_log.h"
 #include "cluster/shard/plan.h"
@@ -269,7 +272,7 @@ TEST(ShardedMasterStress, ConcurrentSubmitsThenReconcile)
 {
     // TSan target: racing API-server writes against the global id
     // stream + shard maps, then a multi-shard reconcile publishing
-    // through striped stores and the commit log.
+    // through the commit log.
     ClusterConfig cc;
     cc.num_nodes = 2;
     cc.cores_per_node = 2;
@@ -329,6 +332,102 @@ TEST(ShardedMasterStress, LaneSessionsFanOutIdentically)
     // Four lanes as pool tasks, plus the busy lane's three sessions.
     compareSerialVsSharded(one, /*shards=*/4, /*threads=*/0, &tasks);
     EXPECT_GE(tasks, 4 + 3);
+}
+
+/** ControlJournal fake that records the ids onPublish sees, in call
+ *  order. It takes no lock of its own: the commit log serializes
+ *  onPublish, and TSan flags it if a lane ever calls it directly. */
+class PublishRecorder : public ControlJournal
+{
+  public:
+    void onAdmit(const TraceRequest &) override {}
+    void onPlanned(std::uint64_t, RequestPhase) override {}
+    CollectHooks collectHooks(std::uint64_t) override { return {}; }
+    void
+    onPublish(std::uint64_t id, const PublishEffects &) override
+    {
+        published.push_back(id);
+    }
+
+    std::vector<std::uint64_t> published;
+};
+
+TEST(ShardedMasterStress, JournaledPublishesCommitInOrderWhileRead)
+{
+    // TSan target: a journaled reconcile on a pool (the recovery
+    // matrix runs one thread). The sequenced commit is the only
+    // writer of the stores, so readers polling them meanwhile see
+    // them only grow, the journal sees publishes in id order, and the
+    // result equals the unjournaled inline serial reference.
+    std::vector<std::string> manifests = demoManifests();
+    manifests.insert(manifests.begin() + 2, "app=NotDeployed period_ms=20");
+
+    Cluster serial_cluster(smallConfig());
+    deployDemo(serial_cluster);
+    metrics::Registry serial_registry;
+    ShardedMaster serial(&serial_cluster, {}, 1, 1, &serial_registry);
+
+    Cluster cluster(smallConfig());
+    deployDemo(cluster);
+    metrics::Registry registry;
+    ShardedMaster master(&cluster, {}, 4, 4, &registry);
+    PublishRecorder journal;
+    master.attachJournal(&journal);
+
+    std::vector<std::uint64_t> completed;
+    for (const std::string &m : manifests) {
+        std::uint64_t id = master.apply(m);
+        ASSERT_EQ(serial.apply(m), id);
+        if (m.find("NotDeployed") == std::string::npos)
+            completed.push_back(id);
+    }
+    serial.reconcile();
+
+    std::atomic<bool> done{false};
+    std::atomic<int> regressions{0};
+    std::vector<std::thread> readers;
+    readers.reserve(2);
+    for (int r = 0; r < 2; ++r)
+        readers.emplace_back([&]() {
+            std::size_t objects = 0, rows = 0;
+            std::uint64_t bytes = 0;
+            while (!done.load(std::memory_order_acquire)) {
+                std::size_t o = master.oss().objectCount();
+                std::uint64_t b = master.oss().totalBytes();
+                std::size_t keys = master.oss().listPrefix("traces/").size();
+                std::size_t n = master.odps().rowCount();
+                if (o < objects || b < bytes || keys < o || n < rows)
+                    regressions.fetch_add(1);
+                objects = o;
+                bytes = b;
+                rows = n;
+            }
+        });
+
+    master.reconcile();
+    done.store(true, std::memory_order_release);
+    for (std::thread &t : readers)
+        t.join();
+
+    EXPECT_EQ(regressions.load(), 0);
+    EXPECT_EQ(journal.published, completed);
+    for (std::uint64_t id = 1; id <= manifests.size(); ++id) {
+        SCOPED_TRACE("request " + std::to_string(id));
+        EXPECT_EQ(master.phaseOf(id), serial.phaseOf(id));
+        const TraceReport *a = serial.report(id);
+        const TraceReport *b = master.report(id);
+        ASSERT_EQ(a == nullptr, b == nullptr);
+        if (a != nullptr)
+            expectReportsEqual(*a, *b);
+    }
+    EXPECT_EQ(master.oss().allObjects(), serial.oss().allObjects());
+    EXPECT_EQ(master.oss().totalBytes(), serial.oss().totalBytes());
+    EXPECT_EQ(master.odps().allRows(), serial.odps().allRows());
+    EXPECT_TRUE(master.coverage() == serial.coverage());
+    EXPECT_EQ(registry.counter("oss.puts").value(),
+              master.oss().objectCount());
+    EXPECT_EQ(registry.counter("odps.inserts").value(),
+              master.odps().rowCount());
 }
 
 TEST(ShardedMasterStress, PhaseReadersDuringReconcile)

@@ -80,19 +80,6 @@ TEST(Rng, LognormalIsPositive)
         EXPECT_GT(rng.lognormal(1.0, 0.5), 0.0);
 }
 
-TEST(RunningStat, MeanVarianceMinMax)
-{
-    RunningStat s;
-    for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-        s.add(v);
-    EXPECT_EQ(s.count(), 8u);
-    EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-    EXPECT_NEAR(s.variance(), 4.571428, 1e-5);
-    EXPECT_DOUBLE_EQ(s.min(), 2.0);
-    EXPECT_DOUBLE_EQ(s.max(), 9.0);
-    EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
 TEST(Samples, PercentilesInterpolate)
 {
     Samples s;
@@ -112,25 +99,6 @@ TEST(Samples, EmptyIsSafe)
     Samples s;
     EXPECT_EQ(s.percentile(50), 0.0);
     EXPECT_EQ(s.mean(), 0.0);
-}
-
-TEST(Histogram, BucketsAndOverflow)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(-1.0);
-    h.add(0.0);
-    h.add(5.5);
-    h.add(9.999);
-    h.add(10.0);
-    h.add(100.0);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 2u);
-    EXPECT_EQ(h.bucket(0), 1u);
-    EXPECT_EQ(h.bucket(5), 1u);
-    EXPECT_EQ(h.bucket(9), 1u);
-    EXPECT_EQ(h.total(), 6u);
-    EXPECT_DOUBLE_EQ(h.bucketLow(5), 5.0);
-    EXPECT_DOUBLE_EQ(h.bucketHigh(5), 6.0);
 }
 
 TEST(Cdf, FractionsAndQuantiles)

@@ -5,7 +5,11 @@ Each bench binary prints one machine-readable line per configuration,
 prefixed "JSON ". This driver runs the binaries of the chosen set,
 collects those lines, and writes one aggregate document (default
 BENCH_<set>.json at the repo root) so CI can diff the trajectory
-run-over-run.
+run-over-run. The document names what produced it: the scale, the
+host's CPU count (nproc), the build type from the build directory's
+CMakeCache.txt, and the git commit of this checkout (suffixed
+"-dirty" for uncommitted edits other than BENCH_*.json, null outside a
+git checkout). Only compare documents that agree on all four.
 
 Sets:
     decode   decode_throughput + decode_latency
@@ -53,6 +57,38 @@ GOOGLE_BENCHMARK_BENCHES = {
 
 class BenchOutputError(Exception):
     """A bench emitted a JSON line this driver cannot parse."""
+
+
+def build_type(build_dir):
+    """CMAKE_BUILD_TYPE as cached in `build_dir` ("" if unset)."""
+    try:
+        with open(os.path.join(build_dir, "CMakeCache.txt")) as f:
+            for line in f:
+                if line.startswith("CMAKE_BUILD_TYPE:"):
+                    return line.split("=", 1)[1].strip()
+    except OSError:
+        pass
+    return ""
+
+
+def git_sha():
+    """HEAD of the checkout this script lives in, suffixed "-dirty" when
+    tracked files other than the BENCH_*.json outputs differ from it;
+    None outside a git checkout."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    git = ["git", "-C", root]
+    try:
+        head = subprocess.run(git + ["rev-parse", "HEAD"],
+                              capture_output=True, text=True, timeout=10)
+        if head.returncode != 0:
+            return None
+        diff = subprocess.run(
+            git + ["diff", "--quiet", "HEAD", "--",
+                   ":(exclude)BENCH_*.json"],
+            capture_output=True, timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return head.stdout.strip() + ("-dirty" if diff.returncode else "")
 
 
 def run_bench(path, scale):
@@ -255,6 +291,9 @@ def main():
     doc = {
         "benches": benches,
         "scale": args.scale,
+        "nproc": os.cpu_count(),
+        "build_type": build_type(args.build_dir),
+        "git_sha": git_sha(),
         "records": records,
         "summary": summarize(records),
     }
