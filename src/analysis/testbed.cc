@@ -1,6 +1,5 @@
 #include "analysis/testbed.h"
 
-#include <chrono>
 #include <map>
 
 #include "analysis/accuracy.h"
@@ -11,8 +10,6 @@
 #include "baselines/stasam.h"
 #include "core/exist_backend.h"
 #include "decode/parallel_decoder.h"
-#include "decode/streaming_decoder.h"
-#include "hwtrace/tracer.h"
 #include "obs/trace_plane.h"
 #include "os/loadgen.h"
 #include "os/service.h"
@@ -128,7 +125,11 @@ ExperimentResult
 Testbed::run(const ExperimentSpec &spec)
 {
     EXIST_ASSERT(!spec.workloads.empty(), "experiment needs workloads");
-    EXIST_SPAN("session.run", obs::corrId(spec.seed));
+    EXIST_ASSERT(!spec.streaming, "ExperimentSpec::streaming is retired");
+    // Each phase below has its own span; together they cover
+    // session.run, so a self-trace shows where a session's time went.
+    const std::uint64_t corr = obs::corrId(spec.seed);
+    EXIST_SPAN("session.run", corr);
 
     NodeConfig node_cfg = spec.node;
     node_cfg.seed = spec.seed;
@@ -136,137 +137,113 @@ Testbed::run(const ExperimentSpec &spec)
 
     // --- Deploy workloads -------------------------------------------------
     std::vector<DeployedWorkload> deployed;
-    deployed.reserve(spec.workloads.size());
     const WorkloadSpec *target_spec = nullptr;
+    {
+        EXIST_SPAN("session.deploy", corr);
+        deployed.reserve(spec.workloads.size());
+        Rng seeds(spec.seed ^ 0x9d2c5680u);
+        for (const WorkloadSpec &w : spec.workloads) {
+            auto binary = binaryFor(w.app, stableHash(w.app));
+            const AppProfile &profile = binary->profile();
 
-    Rng seeds(spec.seed ^ 0x9d2c5680u);
-    for (const WorkloadSpec &w : spec.workloads) {
-        auto binary = binaryFor(w.app, stableHash(w.app));
-        const AppProfile &profile = binary->profile();
+            DeployedWorkload d;
+            d.spec = &w;
+            d.proc = kernel.createProcess(w.app, binary, w.cores);
 
-        DeployedWorkload d;
-        d.spec = &w;
-        d.proc = kernel.createProcess(w.app, binary, w.cores);
-
-        int nthreads = w.workers > 0 ? w.workers : profile.num_threads;
-        if (profile.is_service) {
-            d.service = std::make_unique<Service>(
-                &kernel, d.proc, seeds.fork(stableHash(w.app)).next());
-            d.service->spawnWorkers(nthreads);
-        } else {
-            for (int i = 0; i < nthreads; ++i) {
-                Thread *t = kernel.createThread(d.proc, nullptr);
-                kernel.startThread(t);
+            int nthreads =
+                w.workers > 0 ? w.workers : profile.num_threads;
+            if (profile.is_service) {
+                d.service = std::make_unique<Service>(
+                    &kernel, d.proc, seeds.fork(stableHash(w.app)).next());
+                d.service->spawnWorkers(nthreads);
+            } else {
+                for (int i = 0; i < nthreads; ++i) {
+                    Thread *t = kernel.createThread(d.proc, nullptr);
+                    kernel.startThread(t);
+                }
             }
+            if (w.target) {
+                EXIST_ASSERT(target_spec == nullptr,
+                             "only one target workload allowed");
+                target_spec = &w;
+            }
+            deployed.push_back(std::move(d));
         }
-        if (w.target) {
-            EXIST_ASSERT(target_spec == nullptr,
-                         "only one target workload allowed");
-            target_spec = &w;
-        }
-        deployed.push_back(std::move(d));
-    }
 
-    // Wire RPC chains and load generators after all services exist.
-    for (DeployedWorkload &d : deployed) {
-        if (!d.spec->downstream.empty()) {
-            EXIST_ASSERT(d.service != nullptr,
-                         "%s has a downstream but is not a service",
-                         d.spec->app.c_str());
-            Service *down = nullptr;
-            for (DeployedWorkload &o : deployed)
-                if (o.spec->app == d.spec->downstream)
-                    down = o.service.get();
-            EXIST_ASSERT(down != nullptr, "downstream %s not found",
-                         d.spec->downstream.c_str());
-            d.service->setDownstream(down);
-            if (d.spec->downstream_rpcs >= 0)
-                d.service->setRpcsPerRequest(d.spec->downstream_rpcs);
-        }
-        if (d.service && d.spec->closed_clients > 0) {
-            d.closed_loadgen = std::make_unique<ClosedLoopLoadGen>(
-                &kernel, d.service.get(), d.spec->closed_clients,
-                seeds.fork(stableHash(d.spec->app) ^ 0x10adULL).next());
-            d.closed_loadgen->start();
-        } else if (d.service && d.spec->load_rps > 0.0) {
-            d.loadgen = std::make_unique<PoissonLoadGen>(
-                &kernel, d.service.get(), d.spec->load_rps,
-                seeds.fork(stableHash(d.spec->app) ^ 0x10adULL).next());
-            d.loadgen->start();
+        // Wire RPC chains and load generators after all services exist.
+        for (DeployedWorkload &d : deployed) {
+            if (!d.spec->downstream.empty()) {
+                EXIST_ASSERT(d.service != nullptr,
+                             "%s has a downstream but is not a service",
+                             d.spec->app.c_str());
+                Service *down = nullptr;
+                for (DeployedWorkload &o : deployed)
+                    if (o.spec->app == d.spec->downstream)
+                        down = o.service.get();
+                EXIST_ASSERT(down != nullptr, "downstream %s not found",
+                             d.spec->downstream.c_str());
+                d.service->setDownstream(down);
+                if (d.spec->downstream_rpcs >= 0)
+                    d.service->setRpcsPerRequest(d.spec->downstream_rpcs);
+            }
+            if (d.service && d.spec->closed_clients > 0) {
+                d.closed_loadgen = std::make_unique<ClosedLoopLoadGen>(
+                    &kernel, d.service.get(), d.spec->closed_clients,
+                    seeds.fork(stableHash(d.spec->app) ^ 0x10adULL)
+                        .next());
+                d.closed_loadgen->start();
+            } else if (d.service && d.spec->load_rps > 0.0) {
+                d.loadgen = std::make_unique<PoissonLoadGen>(
+                    &kernel, d.service.get(), d.spec->load_rps,
+                    seeds.fork(stableHash(d.spec->app) ^ 0x10adULL)
+                        .next());
+                d.loadgen->start();
+            }
         }
     }
 
     // --- Warm up ----------------------------------------------------------
-    kernel.runFor(spec.warmup);
+    {
+        EXIST_SPAN("session.warmup", corr);
+        kernel.runFor(spec.warmup);
+    }
 
     // --- Arm the session --------------------------------------------------
     SessionSpec session = spec.session;
-    if (target_spec != nullptr)
-        session.target = kernel.findProcess(target_spec->app);
-
-    // Streaming decode needs region-fill events throughout the session,
-    // so split each core's ToPA chain. Ring buffers are incompatible
-    // (a wrap would overwrite bytes not yet handed to the decoder), so
-    // those sessions keep the batch path.
-    const bool want_streaming =
-        spec.streaming && spec.decode && !session.ring_buffers;
-    if (want_streaming)
-        session.stream_region_bytes =
-            (spec.stream_region_kb ? spec.stream_region_kb : 256) * 1024;
-
     GroundTruthRecorder truth;
-    if ((spec.ground_truth || spec.decode) && session.target)
-        truth.arm(kernel, session.target->pid(), spec.record_paths);
-
-    for (DeployedWorkload &d : deployed) {
-        if (d.loadgen)
-            d.loadgen->setWarmupUntil(kernel.now());
-        if (d.closed_loadgen)
-            d.closed_loadgen->setWarmupUntil(kernel.now());
-        d.baseline = processCounters(*d.proc);
-        d.completed_baseline = d.service ? d.service->completedCount() : 0;
-    }
     std::vector<Cycles> busy0(
         static_cast<std::size_t>(kernel.numCores()));
     Cycles kern0 = 0;
-    for (int c = 0; c < kernel.numCores(); ++c) {
-        busy0[static_cast<std::size_t>(c)] = kernel.coreBusyCycles(c);
-        kern0 += kernel.coreKernelCycles(c);
-    }
-    std::uint64_t switches0 = kernel.totalContextSwitches();
+    std::uint64_t switches0 = 0;
+    std::unique_ptr<TracerBackend> backend;
+    Cycles t0 = 0;
+    {
+        EXIST_SPAN("session.arm", corr);
+        if (target_spec != nullptr)
+            session.target = kernel.findProcess(target_spec->app);
 
-    std::unique_ptr<TracerBackend> backend = makeBackend(spec.backend);
-    Cycles t0 = kernel.now();
-    if (session.target != nullptr || spec.backend == "Oracle")
-        backend->start(kernel, session);
+        if ((spec.ground_truth || spec.decode) && session.target)
+            truth.arm(kernel, session.target->pid(), spec.record_paths);
 
-    // Overlap collection with reconstruction: install region-ready
-    // callbacks so every filled ToPA region is pushed to the streaming
-    // decoder's workers while the session (and the ground-truth
-    // recorder) is still running. Decode consumes real wall-clock time
-    // only — virtual simulation time is untouched, so results stay
-    // bit-identical to the batch path.
-    auto *exist_backend = dynamic_cast<ExistBackend *>(backend.get());
-    std::unique_ptr<StreamingDecoder> streamer;
-    if (want_streaming && exist_backend != nullptr &&
-        session.target != nullptr) {
-        DecodeOptions sopts;
-        sopts.record_path = spec.record_paths;
-        sopts.block_cache = spec.decode_cache;
-        sopts.tnt_memo_bits = spec.tnt_memo_bits;
-        streamer = std::make_unique<StreamingDecoder>(
-            &session.target->binary(), sopts, spec.decode_threads);
-        for (const CoreAllocation &a : exist_backend->plan().allocations)
-            streamer->addCore(a.core);
-        for (const CoreAllocation &a :
-             exist_backend->plan().allocations) {
-            const CoreId core = a.core;
-            StreamingDecoder *sd = streamer.get();
-            kernel.tracer(core).setRegionReadyCallback(
-                [sd, core](const std::uint8_t *d, std::uint64_t n) {
-                    sd->publish(core, d, n);
-                });
+        for (DeployedWorkload &d : deployed) {
+            if (d.loadgen)
+                d.loadgen->setWarmupUntil(kernel.now());
+            if (d.closed_loadgen)
+                d.closed_loadgen->setWarmupUntil(kernel.now());
+            d.baseline = processCounters(*d.proc);
+            d.completed_baseline =
+                d.service ? d.service->completedCount() : 0;
         }
+        for (int c = 0; c < kernel.numCores(); ++c) {
+            busy0[static_cast<std::size_t>(c)] = kernel.coreBusyCycles(c);
+            kern0 += kernel.coreKernelCycles(c);
+        }
+        switches0 = kernel.totalContextSwitches();
+
+        backend = makeBackend(spec.backend);
+        t0 = kernel.now();
+        if (session.target != nullptr || spec.backend == "Oracle")
+            backend->start(kernel, session);
     }
 
     // --- The measured window == the tracing period ------------------------
@@ -276,90 +253,82 @@ Testbed::run(const ExperimentSpec &spec)
         kernel.runFor(session.period);
         backend->stop(kernel);
     }
-    if ((spec.ground_truth || spec.decode) && session.target)
-        truth.disarm(kernel);
-
-    // Trace end: the report-latency clock starts here (real time — the
-    // offline decode stage is the only part of the pipeline that is
-    // not simulated). Push the unpublished stream tails immediately so
-    // streaming workers chew on them while the main thread gathers the
-    // app statistics below.
-    const auto trace_end = std::chrono::steady_clock::now();
-    if (streamer != nullptr) {
-        for (const CoreAllocation &a :
-             exist_backend->plan().allocations) {
-            kernel.tracer(a.core).output().flushRegionReady();
-            kernel.tracer(a.core).setRegionReadyCallback(nullptr);
-        }
-    }
 
     // --- Collect ----------------------------------------------------------
     ExperimentResult result;
-    result.window = kernel.now() - t0;
-    result.backend_stats = backend->stats();
-    result.context_switch_total =
-        kernel.totalContextSwitches() - switches0;
-    if (auto *eb = dynamic_cast<ExistBackend *>(backend.get()))
-        result.switch_log = eb->switchLog();
+    std::vector<CollectedTrace> collected;
+    {
+        EXIST_SPAN("session.collect", corr);
+        if ((spec.ground_truth || spec.decode) && session.target)
+            truth.disarm(kernel);
 
-    double window_s = cyclesToSeconds(result.window);
-    Cycles busy_total = 0;
-    Cycles kern1 = 0;
-    for (int c = 0; c < kernel.numCores(); ++c) {
-        busy_total += kernel.coreBusyCycles(c) -
-                      busy0[static_cast<std::size_t>(c)];
-        kern1 += kernel.coreKernelCycles(c);
-    }
-    result.node_utilization =
-        static_cast<double>(busy_total) /
-        (static_cast<double>(result.window) * kernel.numCores());
-    result.node_kernel_cycles = kern1 - kern0;
+        result.window = kernel.now() - t0;
+        result.backend_stats = backend->stats();
+        result.context_switch_total =
+            kernel.totalContextSwitches() - switches0;
+        if (auto *eb = dynamic_cast<ExistBackend *>(backend.get()))
+            result.switch_log = eb->switchLog();
 
-    for (DeployedWorkload &d : deployed) {
-        TaskCounters after = processCounters(*d.proc);
-        AppResult ar;
-        ar.name = d.spec->app;
-        ar.insns = after.insns - d.baseline.insns;
-        ar.user_cycles = after.user_cycles - d.baseline.user_cycles;
-        ar.kernel_cycles =
-            after.kernel_cycles - d.baseline.kernel_cycles;
-        // CPI as a hardware counter would report it: all cycles the
-        // task consumed (user + kernel context) per instruction.
-        ar.cpi = ar.insns
-                     ? static_cast<double>(ar.user_cycles +
-                                           ar.kernel_cycles) /
-                           static_cast<double>(ar.insns)
-                     : 0.0;
-        ar.insn_rate = static_cast<double>(ar.insns) / window_s;
-        ar.context_switches =
-            after.context_switches - d.baseline.context_switches;
-        ar.migrations = after.migrations - d.baseline.migrations;
-        ar.syscalls = after.syscalls - d.baseline.syscalls;
-        ar.branch_misses = after.branch_misses - d.baseline.branch_misses;
-        ar.l1_misses = after.l1_misses - d.baseline.l1_misses;
-        ar.llc_misses = after.llc_misses - d.baseline.llc_misses;
-        if (d.service)
-            ar.completed =
-                d.service->completedCount() - d.completed_baseline;
-        if (d.loadgen)
-            ar.latencies_us = d.loadgen->latencies();
-        else if (d.closed_loadgen)
-            ar.latencies_us = d.closed_loadgen->latencies();
-        result.apps.push_back(std::move(ar));
+        double window_s = cyclesToSeconds(result.window);
+        Cycles busy_total = 0;
+        Cycles kern1 = 0;
+        for (int c = 0; c < kernel.numCores(); ++c) {
+            busy_total += kernel.coreBusyCycles(c) -
+                          busy0[static_cast<std::size_t>(c)];
+            kern1 += kernel.coreKernelCycles(c);
+        }
+        result.node_utilization =
+            static_cast<double>(busy_total) /
+            (static_cast<double>(result.window) * kernel.numCores());
+        result.node_kernel_cycles = kern1 - kern0;
+
+        for (DeployedWorkload &d : deployed) {
+            TaskCounters after = processCounters(*d.proc);
+            AppResult ar;
+            ar.name = d.spec->app;
+            ar.insns = after.insns - d.baseline.insns;
+            ar.user_cycles = after.user_cycles - d.baseline.user_cycles;
+            ar.kernel_cycles =
+                after.kernel_cycles - d.baseline.kernel_cycles;
+            // CPI as a hardware counter would report it: all cycles the
+            // task consumed (user + kernel context) per instruction.
+            ar.cpi = ar.insns
+                         ? static_cast<double>(ar.user_cycles +
+                                               ar.kernel_cycles) /
+                               static_cast<double>(ar.insns)
+                         : 0.0;
+            ar.insn_rate = static_cast<double>(ar.insns) / window_s;
+            ar.context_switches =
+                after.context_switches - d.baseline.context_switches;
+            ar.migrations = after.migrations - d.baseline.migrations;
+            ar.syscalls = after.syscalls - d.baseline.syscalls;
+            ar.branch_misses =
+                after.branch_misses - d.baseline.branch_misses;
+            ar.l1_misses = after.l1_misses - d.baseline.l1_misses;
+            ar.llc_misses = after.llc_misses - d.baseline.llc_misses;
+            if (d.service)
+                ar.completed =
+                    d.service->completedCount() - d.completed_baseline;
+            if (d.loadgen)
+                ar.latencies_us = d.loadgen->latencies();
+            else if (d.closed_loadgen)
+                ar.latencies_us = d.closed_loadgen->latencies();
+            result.apps.push_back(std::move(ar));
+        }
+
+        if (session.target && (spec.decode || spec.ground_truth)) {
+            result.truth_branches = truth.totalBranches();
+            result.truth_function_insns = truth.functionInsns();
+        }
+        if ((spec.decode || spec.keep_traces) && session.target &&
+            backend->producesInstructionTrace())
+            collected = backend->collect();
     }
 
     // --- Decode & score ----------------------------------------------------
-    if (session.target && (spec.decode || spec.ground_truth)) {
-        result.truth_branches = truth.totalBranches();
-        result.truth_function_insns = truth.functionInsns();
-    }
-    std::vector<CollectedTrace> collected;
-    if ((spec.decode || spec.keep_traces) && session.target &&
-        backend->producesInstructionTrace())
-        collected = backend->collect();
-
     if (spec.decode && session.target &&
         backend->producesInstructionTrace()) {
+        EXIST_SPAN("session.decode", corr);
         const ProgramBinary &binary = session.target->binary();
         DecodeOptions opts;
         opts.record_path = spec.record_paths;
@@ -368,16 +337,9 @@ Testbed::run(const ExperimentSpec &spec)
 
         // Per-core buffers are independent; fan the decode across the
         // pool and aggregate in collection order, which keeps every
-        // result field bit-identical to the serial path. With the
-        // streaming pipeline most bytes were reconstructed during the
-        // session already, so only the tails remain here.
-        if (streamer != nullptr) {
-            result.decoded = streamer->finish();
-            result.streamed = true;
-        } else {
-            ParallelDecoder rec(&binary, opts, spec.decode_threads);
-            result.decoded = rec.decodeAll(collected);
-        }
+        // result field bit-identical to the serial path.
+        ParallelDecoder rec(&binary, opts, spec.decode_threads);
+        result.decoded = rec.decodeAll(collected);
 
         result.decoded_function_insns.assign(binary.numFunctions(), 0);
         result.decoded_function_entries.assign(binary.numFunctions(), 0);
@@ -412,10 +374,6 @@ Testbed::run(const ExperimentSpec &spec)
             path_total ? static_cast<double>(path_matched) /
                              static_cast<double>(path_total)
                        : 1.0;
-        result.report_latency_s =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - trace_end)
-                .count();
     }
     if (spec.keep_traces)
         result.raw_traces = std::move(collected);

@@ -55,21 +55,10 @@ struct ExperimentSpec {
      *  N > 1 = a dedicated pool. Output is bit-identical at any
      *  setting; this only changes wall-clock decode time. */
     int decode_threads = 0;
-    /**
-     * Streaming decode: tracers publish filled ToPA regions into the
-     * StreamingDecoder while the session is still tracing (and while
-     * ground truth is still being recorded — both replay the same
-     * CFG), so only the stream tails remain to decode at trace end.
-     * Requires decode with the EXIST backend and STOP (non-ring)
-     * buffers; anything else falls back to the batch ParallelDecoder
-     * path. Output is bit-identical to batch either way; only
-     * report_latency_s changes. decode_threads is reused as the
-     * streaming worker count (1 = inline on the collecting thread,
-     * 0 = dedicated default-width pool, N = dedicated pool of N).
-     */
+    /** Retired: sessions decode after the window, never during it.
+     *  Must stay false (Testbed::run asserts it); kept only until
+     *  perfbench/common.cc stops assigning it. */
     bool streaming = false;
-    /** Streaming region granularity in real KB (0 = 256 KB). */
-    std::uint64_t stream_region_kb = 0;
     /** Decode through the per-binary BlockCache + TNT-run memo fast
      *  path (DESIGN.md §11). Off = the legacy CFG walk, kept as the
      *  bit-identical reference. Only wall-clock decode time changes. */
@@ -126,13 +115,6 @@ struct ExperimentResult {
      *  instead of decoding twice. Each block_path is released once
      *  path_precision is scored. Not collection-borne. */
     std::vector<std::pair<CoreId, DecodedTrace>> decoded;
-
-    /** Wall-clock seconds from tracing stop to decoded results ready
-     *  (trace-end→report-ready; real time, since decode is the offline
-     *  stage). Only set when spec.decode. */
-    double report_latency_s = 0.0;
-    /** Whether the streaming pipeline ran (vs the batch fallback). */
-    bool streamed = false;
 
     const AppResult *find(const std::string &name) const;
     const AppResult &at(const std::string &name) const;

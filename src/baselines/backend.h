@@ -44,12 +44,6 @@ struct SessionSpec {
      *  volume drops by roughly half on branch-dense workloads. */
     bool cyc_timing = true;
 
-    /** Streaming decode support: split each core's ToPA chain into
-     *  regions of this many real bytes so region-fill events fire
-     *  throughout the session (0 = one region per core, historical).
-     *  Capacity and byte stream are unchanged by the split. */
-    std::uint64_t stream_region_bytes = 0;
-
     /** Per-thread aux buffer size for the NHT backend (real MB);
      *  0 = NHT's default. Lets the Fig. 6 harness reproduce REPT-,
      *  Griffin- and JPortal-style buffer regimes. */

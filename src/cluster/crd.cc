@@ -43,11 +43,10 @@ TraceRequest::set(const std::string &key, const std::string &value,
         *error = key + " wants " + want + ", got '" + value + "'";
         return false;
     };
-    bool *flag = key == "anomaly"     ? &anomaly
-                 : key == "ring"      ? &ring_buffers
-                 : key == "streaming" ? &streaming
-                 : key == "net"       ? &net
-                                      : nullptr;
+    bool *flag = key == "anomaly" ? &anomaly
+                 : key == "ring"  ? &ring_buffers
+                 : key == "net"   ? &net
+                                  : nullptr;
     double *rate = key == "loss"        ? &net_loss
                    : key == "reorder"   ? &net_reorder
                    : key == "duplicate" ? &net_duplicate
@@ -135,8 +134,6 @@ TraceRequest::toManifest() const
         out << " ring=true";
     if (core_sample_ratio > 0)
         out << " core_sample_ratio=" << shortest(core_sample_ratio);
-    if (streaming)
-        out << " streaming=true";
     if (net) {
         out << " net=true";
         if (net_loss > 0)

@@ -50,11 +50,6 @@ struct TraceRequest {
     bool ring_buffers = false;
     /** Personalized option: UMA core sampling ratio (0 = default). */
     double core_sample_ratio = 0.0;
-    /** Personalized option: streaming decode — overlap collection with
-     *  flow reconstruction so reports are ready at trace end. Ignored
-     *  (batch fallback) when combined with ring=true. */
-    bool streaming = false;
-
     /** Collection plane (ISSUE 6): ship session results node -> master
      *  over the simulated fabric instead of in-process. The knobs below
      *  only apply when net=true. */
@@ -75,7 +70,7 @@ struct TraceRequest {
      * in range, booleans are true|false|1|0. The keys and ranges:
      *
      *   app                          text, non-empty
-     *   anomaly ring streaming net   boolean
+     *   anomaly ring net             boolean
      *   period_ms                    ms in (0, 1e9], at least one
      *                                cycle; omit it to let RCO decide
      *   budget_mb                    integer in [1, 1048576]

@@ -69,15 +69,7 @@ planRequest(Cluster *cluster,
                     req.id;
         // Sessions already fan out across the pool; per-core decode
         // inside each session shares it rather than nesting new pools.
-        // Streaming sessions are the exception: their consumers park on
-        // workers for the whole session, so each gets a small dedicated
-        // pool instead (sharing would let a backpressured producer
-        // deadlock against parked consumers).
-        spec.streaming = req.streaming;
-        if (req.streaming)
-            spec.decode_threads = threads == 1 ? 1 : 2;
-        else
-            spec.decode_threads = threads == 1 ? 1 : 0;
+        spec.decode_threads = threads == 1 ? 1 : 0;
 
         std::vector<std::string> seen;
         for (const PodInstance *other : cluster->podsOn(pod->node)) {

@@ -84,8 +84,8 @@ std::uint64_t requestPlanSeed(std::uint64_t cluster_seed,
  * then has no sessions) — the caller applies the transition under its
  * request lock. `threads` is the controller's parallelism knob and only
  * selects the per-session decode pool policy (1 = fully serial
- * sessions; anything else shares the process pool, streaming sessions
- * get small dedicated pools) — it never changes the plan itself.
+ * sessions; anything else shares the process pool) — it never changes
+ * the plan itself.
  */
 RequestPlan planRequest(Cluster *cluster,
                         const RepetitionAwareCoverageOptimizer &rco,

@@ -26,7 +26,6 @@ ExistBackend::start(Kernel &kernel, const SessionSpec &spec)
     ocfg.plan = plan_;
     ocfg.ring_buffers = spec.ring_buffers;
     ocfg.cyc_timing = spec.cyc_timing;
-    ocfg.stream_region_bytes = spec.stream_region_bytes;
     ocfg.eager_control = spec.exist_eager_control;
     ocfg.on_stop = [this, &kernel] {
         // Keep the sidecar before anything else disarms it.

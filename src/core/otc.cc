@@ -33,28 +33,11 @@ OperationAwareController::start(Kernel &kernel, const Config &cfg)
         tc.tsc_en = true;
         tc.cache_bypass = true;  // ToPA regions mapped write-combining
         tc.topa_ring = cfg.ring_buffers;
-        // Model-byte capacity of this core's allocation. Splitting it
-        // into multiple regions (streaming) must not change it, so the
-        // split is computed in model bytes.
-        const std::uint64_t total_model = a.real_bytes / kTraceByteScale;
-        const std::uint64_t region_model =
-            cfg.stream_region_bytes / kTraceByteScale;
-        if (region_model == 0 || region_model >= total_model) {
-            tc.topa = {TopaEntry{total_model,
-                                 /*stop=*/!cfg.ring_buffers,
-                                 /*intr=*/false}};
-        } else {
-            std::uint64_t placed = 0;
-            while (placed < total_model) {
-                std::uint64_t sz =
-                    std::min(region_model, total_model - placed);
-                placed += sz;
-                tc.topa.push_back(TopaEntry{
-                    sz,
-                    /*stop=*/!cfg.ring_buffers && placed == total_model,
-                    /*intr=*/false});
-            }
-        }
+        // One region holding this core's whole allocation, in model
+        // bytes.
+        tc.topa = {TopaEntry{a.real_bytes / kTraceByteScale,
+                             /*stop=*/!cfg.ring_buffers,
+                             /*intr=*/false}};
         auto res = kernel.tracer(a.core).configure(tc);
         EXIST_ASSERT(res.ok, "tracer configure failed on core %d",
                      a.core);

@@ -34,15 +34,6 @@ class OperationAwareController
         /** CYC timing packets (off = control-flow-only tracing). */
         bool cyc_timing = true;
         /**
-         * Split each core's ToPA allocation into regions of this many
-         * real bytes (last region takes the remainder, STOP stays on
-         * the last entry); 0 keeps the historical single region. The
-         * byte stream, capacity and STOP point are unchanged — only
-         * the region-fill granularity, which is what drives the
-         * streaming decoder's region-ready publishing.
-         */
-        std::uint64_t stream_region_bytes = 0;
-        /**
          * Ablation of the paper's central claim: manipulate the tracer
          * at *every* context switch (disable on sched-out, enable on
          * sched-in), the conventional O(#switches) control paradigm,

@@ -14,7 +14,7 @@
  * immutable, so there is nothing to invalidate) and shared read-only
  * across every decode worker of a session via shared_ptr; forBinary()
  * keeps a process-wide registry so all decoders of the same binary —
- * batch, parallel, streaming, any shard — share one table.
+ * serial, parallel, any shard — share one table.
  */
 #ifndef EXIST_DECODE_BLOCK_CACHE_H
 #define EXIST_DECODE_BLOCK_CACHE_H

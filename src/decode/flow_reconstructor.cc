@@ -37,8 +37,7 @@ struct BlockView {
 /** Deferred-drain flush threshold (bits). TNT packets carry 6 bits
  *  (up to 60 when the parser batches a run), so this defers ~2-5
  *  batched packets — dozens of full memo windows retire per drain and
- *  the drain entry/exit overhead amortizes away, while the deferred
- *  window stays far too small to matter for streaming latency. */
+ *  the drain entry/exit overhead amortizes away. */
 constexpr std::size_t kTntDeferBits = 192;
 
 struct CacheAccess {
@@ -114,7 +113,7 @@ FlowStream::FlowStream(const ProgramBinary *prog, DecodeOptions opts,
 
 FlowStream::~FlowStream()
 {
-    // A stream abandoned before finish() still returns its memo.
+    // A stream abandoned before decode() still returns its memo.
     if (memo_ != nullptr && memo_pool_ != nullptr)
         memo_pool_->release(std::move(memo_));
 }
@@ -530,54 +529,6 @@ FlowStream::handlePacket(const Packet &pkt)
     }
 }
 
-void
-FlowStream::pump(const std::uint8_t *data, std::size_t size, bool final)
-{
-    parser_.rebind(data, size);
-    parser_.setFinal(final);
-    // Replicate the batch loop exactly, including its one-packet
-    // lookahead past the branch budget: after the budget check fails,
-    // exactly one more packet has been consumed and dropped, and
-    // next() is never called again. A packet cut off by a mid-stream
-    // chunk boundary is rolled back inside next() itself, so the retry
-    // sees the whole packet once the next chunk lands.
-    if (budget_exhausted_)
-        return;
-    Packet pkt;
-    while (parser_.next(pkt)) {
-        if (out_.branches_decoded >= opts_.max_branches) {
-            budget_exhausted_ = true;
-            break;
-        }
-        handlePacket(pkt);
-    }
-}
-
-void
-FlowStream::append(const std::uint8_t *data, std::size_t n)
-{
-    EXIST_ASSERT(!finished_, "append to a finished FlowStream");
-    // Streaming feeds chunks of similar size (ToPA regions), so the
-    // current chunk is the best available hint for what follows:
-    // reserve ahead of the insert — doubling, never exact-fit, to keep
-    // amortized growth — and project the segment vector forward at the
-    // density observed so far, replacing log2(chunks) incremental
-    // regrows of both with one reservation.
-    const std::size_t need = buf_.size() + n;
-    if (buf_.capacity() < need)
-        buf_.reserve(std::max(need, 2 * buf_.capacity()));
-    if (!out_.segments.empty() && !buf_.empty()) {
-        const std::size_t projected =
-            out_.segments.size() +
-            (out_.segments.size() * n) / buf_.size() + 1;
-        if (out_.segments.capacity() < projected)
-            out_.segments.reserve(
-                std::max(projected, 2 * out_.segments.capacity()));
-    }
-    buf_.insert(buf_.end(), data, data + n);
-    pump(buf_.data(), buf_.size(), /*final=*/false);
-}
-
 DecodedTrace
 FlowStream::seal()
 {
@@ -609,30 +560,26 @@ FlowStream::seal()
 }
 
 DecodedTrace
-FlowStream::finish()
+FlowStream::decode(const std::uint8_t *data, std::size_t n)
 {
-    EXIST_ASSERT(!finished_, "FlowStream finished twice");
-    pump(buf_.data(), buf_.size(), /*final=*/true);
-    return seal();
-}
-
-DecodedTrace
-FlowStream::finishWith(const std::uint8_t *data, std::size_t n)
-{
-    EXIST_ASSERT(!finished_ && buf_.empty(),
-                 "finishWith on a used FlowStream");
-    pump(data, n, /*final=*/true);
+    EXIST_ASSERT(!finished_, "FlowStream decoded twice");
+    parser_ = PacketParser(data, n);
+    // The loop's one-packet lookahead past the branch budget is part
+    // of the output: after the budget check fails, exactly one more
+    // packet has been consumed and dropped.
+    Packet pkt;
+    while (parser_.next(pkt)) {
+        if (out_.branches_decoded >= opts_.max_branches)
+            break;
+        handlePacket(pkt);
+    }
     return seal();
 }
 
 DecodedTrace
 FlowReconstructor::decode(const std::uint8_t *data, std::size_t size) const
 {
-    // One-shot decode == streaming decode of a single final chunk; the
-    // shared FlowStream state machine makes batch and streaming output
-    // identical by construction.
-    return FlowStream(prog_, opts_, cache_, &memo_pool_)
-        .finishWith(data, size);
+    return FlowStream(prog_, opts_, cache_, &memo_pool_).decode(data, size);
 }
 
 }  // namespace exist

@@ -106,18 +106,10 @@ struct DecodeOptions {
 };
 
 /**
- * Resumable reconstruction of one core's byte stream: the decode
- * state machine (packet parser position, pending TNT/TIP queues, open
- * segment, resume hints) lives in the object, so bytes can be fed in
- * arbitrary chunks as ToPA regions fill, long before the stream is
- * complete. finish() seals the stream and returns the result.
- *
- * Determinism: the result is a pure function of the concatenated
- * bytes — chunk boundaries never change it, because a parse attempt
- * that runs out of bytes mid-packet is rolled back and retried when
- * the next chunk arrives. The batch FlowReconstructor::decode path is
- * implemented on top of this class (one append + finish), so batch
- * and streaming decode are the same code by construction.
+ * The decode state machine for one core's byte stream: packet parser
+ * position, pending TNT/TIP queues, open segment and resume hints.
+ * FlowReconstructor::decode runs one per buffer; the result is a pure
+ * function of the buffer's bytes.
  */
 class FlowStream
 {
@@ -131,29 +123,15 @@ class FlowStream
                         std::shared_ptr<const BlockCache> cache = nullptr,
                         TntMemoPool *pool = nullptr);
 
-    FlowStream(FlowStream &&) = default;
-    FlowStream &operator=(FlowStream &&) = default;
+    FlowStream(const FlowStream &) = delete;
+    FlowStream &operator=(const FlowStream &) = delete;
     ~FlowStream();
 
-    /** Feed the next chunk of the stream; decodes as far as the bytes
-     *  allow. Illegal after finish(). */
-    void append(const std::uint8_t *data, std::size_t n);
-
-    /** Seal the stream: decode the tail, close the open segment and
-     *  return the result. Call exactly once. */
-    DecodedTrace finish();
-
-    /** One-shot decode of a complete external buffer (no copy into the
-     *  stream buffer); equivalent to append(data, n) + finish(). */
-    DecodedTrace finishWith(const std::uint8_t *data, std::size_t n);
-
-    bool finished() const { return finished_; }
-
-    /** Bytes accumulated so far via append(). */
-    const std::vector<std::uint8_t> &bytes() const { return buf_; }
+    /** Decode the complete buffer `data[0, n)` and return the result.
+     *  Call exactly once. */
+    DecodedTrace decode(const std::uint8_t *data, std::size_t n);
 
   private:
-    void pump(const std::uint8_t *data, std::size_t size, bool final);
     void openSegment(std::uint64_t offset);
     void closeSegment();
     void visit(std::uint32_t block);
@@ -179,7 +157,6 @@ class FlowStream
     /** Memo stats at stream start (a pooled memo arrives warm); the
      *  per-stream cache_stats are deltas against this. */
     TntMemo::Stats memo_stats_base_;
-    std::vector<std::uint8_t> buf_;
     PacketParser parser_{nullptr, 0};
     DecodedTrace out_;
 
@@ -214,7 +191,6 @@ class FlowStream
     std::uint32_t lazy_tail_off_ = 0;
     std::uint8_t lazy_tail_len_ = 0;
     bool lazy_tail_stale_ = false;
-    bool budget_exhausted_ = false;
     bool finished_ = false;
 };
 
@@ -243,21 +219,13 @@ class FlowReconstructor
         return decode(bytes.data(), bytes.size());
     }
 
-    /** Open a resumable stream for incremental decode. Streams borrow
-     *  the reconstructor's memo pool and must not outlive it. */
-    FlowStream
-    stream() const
-    {
-        return FlowStream(prog_, opts_, cache_, &memo_pool_);
-    }
-
   private:
     const ProgramBinary *prog_;
     DecodeOptions opts_;
     std::shared_ptr<const BlockCache> cache_;
-    /** Warm TNT memos recycled across this reconstructor's streams
+    /** Warm TNT memos recycled across this reconstructor's decodes
      *  (decode() is const and concurrent; the pool is internally
-     *  locked and each stream owns its memo exclusively). */
+     *  locked and each decode owns its memo exclusively). */
     mutable TntMemoPool memo_pool_;
 };
 

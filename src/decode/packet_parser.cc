@@ -40,17 +40,9 @@ PacketParser::next(Packet &out)
 {
     while (pos_ < size_) {
         const std::size_t start = pos_;
-        // A packet cut off by the end of a non-final buffer is left
-        // unconsumed (pos_ restored to the packet start) so the retry
-        // sees the whole packet once the next chunk lands; only at the
-        // true stream end is it recorded as truncated. Keeping the
-        // rollback here means the streaming consumer needs no
-        // per-packet state snapshot on its hot loop.
+        // A packet cut off by the end of the buffer is recorded as a
+        // truncated tail and ends the stream.
         auto truncatedTail = [&]() {
-            if (!final_) {
-                pos_ = start;
-                return false;
-            }
             truncated_ = size_ - start;
             pos_ = size_;
             return false;
@@ -117,11 +109,8 @@ PacketParser::next(Packet &out)
                 return true;
             }
             // Unknown ext: resync.
-            if (!resyncToPsb()) {
-                if (!final_)
-                    pos_ = start;
+            if (!resyncToPsb())
                 return false;
-            }
             out.op = PacketOp::kExt;
             out.value = kExtPsb;
             return true;
@@ -173,22 +162,14 @@ PacketParser::next(Packet &out)
             ++pos_;
             std::uint64_t v = 0;
             int shift = 0;
-            bool complete = false;
+            // A varint cut off by the buffer end keeps the value read
+            // so far.
             while (pos_ < size_) {
                 std::uint8_t byte = data_[pos_++];
                 v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
                 shift += 7;
-                if (!(byte & 0x80)) {
-                    complete = true;
+                if (!(byte & 0x80))
                     break;
-                }
-            }
-            // A varint cut off by the buffer end: mid-stream the rest
-            // may still arrive, so leave it unconsumed; at the true
-            // stream end keep the historical truncated-value packet.
-            if (!complete && !final_) {
-                pos_ = start;
-                return false;
             }
             out.op = PacketOp::kCyc;
             out.value = v;
@@ -212,11 +193,8 @@ PacketParser::next(Packet &out)
           default:
             // Unknown opcode (e.g. we landed mid-packet after a ring
             // wrap): resynchronise at the next PSB.
-            if (!resyncToPsb()) {
-                if (!final_)
-                    pos_ = start;
+            if (!resyncToPsb())
                 return false;
-            }
             out.op = PacketOp::kExt;
             out.value = kExtPsb;
             return true;

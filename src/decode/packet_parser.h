@@ -28,20 +28,10 @@ struct Packet {
     std::uint8_t tnt_count = 0;
 };
 
-/** Streaming parser over a contiguous trace byte buffer. */
+/** Parser over a contiguous trace byte buffer. */
 class PacketParser
 {
   public:
-    /** Decompression/progress state, snapshotable so an incremental
-     *  consumer can roll back a parse attempt that ran out of bytes
-     *  and retry it once more of the stream has arrived. */
-    struct State {
-        std::size_t pos = 0;
-        std::uint64_t last_ip = 0;
-        std::size_t resyncs = 0;
-        std::size_t truncated = 0;
-    };
-
     PacketParser(const std::uint8_t *data, std::size_t size)
         : data_(data), size_(size)
     {
@@ -52,38 +42,6 @@ class PacketParser
 
     /** Skip forward to just after the next PSB; false if none left. */
     bool resyncToPsb();
-
-    /**
-     * Point the parser at a grown (or relocated) copy of the same
-     * byte stream; position and decompression state carry over. Used
-     * by the streaming decoder, whose buffer grows between pumps.
-     */
-    void rebind(const std::uint8_t *data, std::size_t size)
-    {
-        data_ = data;
-        size_ = size;
-    }
-
-    /**
-     * Whether the current buffer end is the true end of the stream
-     * (default) or more bytes may still arrive. When not final, a CYC
-     * varint that runs off the buffer end is left unconsumed and
-     * next() returns false instead of emitting a truncated value that
-     * a longer buffer would have parsed differently.
-     */
-    void setFinal(bool final) { final_ = final; }
-
-    State state() const
-    {
-        return State{pos_, last_ip_, resyncs_, truncated_};
-    }
-    void setState(const State &s)
-    {
-        pos_ = s.pos;
-        last_ip_ = s.last_ip;
-        resyncs_ = s.resyncs;
-        truncated_ = s.truncated;
-    }
 
     std::size_t offset() const { return pos_; }
     std::size_t resyncCount() const { return resyncs_; }
@@ -99,7 +57,6 @@ class PacketParser
     std::uint64_t last_ip_ = 0;
     std::size_t resyncs_ = 0;
     std::size_t truncated_ = 0;
-    bool final_ = true;
 };
 
 }  // namespace exist

@@ -32,7 +32,6 @@ TopaBuffer::reset()
     bytes_dropped_ = 0;
     wraps_ = 0;
     wraps_base_ = 0;
-    published_ = 0;
 }
 
 TopaWriteResult
@@ -78,37 +77,9 @@ TopaBuffer::write(const std::uint8_t *data, std::uint64_t n)
                 stopped_ = true;
                 res.stopped_now = true;
             }
-            publishReady();
         }
     }
     return res;
-}
-
-void
-TopaBuffer::setRegionReadyCallback(RegionReadyFn cb)
-{
-    EXIST_ASSERT(!cb || !ring_,
-                 "region-ready callback requires a non-ring ToPA chain");
-    region_cb_ = std::move(cb);
-}
-
-void
-TopaBuffer::publishReady()
-{
-    if (!region_cb_ || cursor_ <= published_)
-        return;
-    std::uint64_t n = cursor_ - published_;
-    const std::uint8_t *data = store_.data() + published_;
-    published_ = cursor_;
-    region_cb_(data, n);
-}
-
-std::uint64_t
-TopaBuffer::flushRegionReady()
-{
-    std::uint64_t before = published_;
-    publishReady();
-    return published_ - before;
 }
 
 std::uint64_t

@@ -12,7 +12,6 @@
 #define EXIST_HWTRACE_TOPA_H
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "util/types.h"
@@ -79,30 +78,7 @@ class TopaBuffer
      */
     std::uint64_t drainTo(std::vector<std::uint8_t> &out);
 
-    /**
-     * Streaming hook: called with the freshly-filled span of the store
-     * each time a region boundary is crossed (including the STOP
-     * region), while the session is still tracing. The span is stable
-     * until the next configure()/reset()/drainTo(). Non-destructive —
-     * the fill state, STOP semantics and data() content are exactly as
-     * without a callback, so batch collection stays bit-identical.
-     * Only legal for non-ring chains (a wrap would overwrite bytes a
-     * ring consumer has not seen; rings keep the drainTo path).
-     */
-    using RegionReadyFn =
-        std::function<void(const std::uint8_t *data, std::uint64_t n)>;
-    void setRegionReadyCallback(RegionReadyFn cb);
-
-    /** Publish the unpublished tail [published, cursor) to the
-     *  callback (end-of-session flush); returns the bytes published. */
-    std::uint64_t flushRegionReady();
-
-    /** Bytes already handed to the region-ready callback. */
-    std::uint64_t publishedBytes() const { return published_; }
-
   private:
-    void publishReady();
-
     std::vector<TopaEntry> entries_;
     bool ring_ = false;
     std::uint64_t capacity_ = 0;
@@ -116,8 +92,6 @@ class TopaBuffer
     std::uint64_t bytes_dropped_ = 0;
     std::uint64_t wraps_ = 0;         ///< wraps since last reset/drain
     std::uint64_t wraps_base_ = 0;    ///< wraps drained away (cumulative)
-    std::uint64_t published_ = 0;     ///< region-ready watermark
-    RegionReadyFn region_cb_;
 };
 
 }  // namespace exist

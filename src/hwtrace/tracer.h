@@ -112,14 +112,6 @@ class CoreTracer
     /** Whether the configured output is cache-bypass (see TracerConfig). */
     bool cacheBypass() const { return cache_bypass_; }
 
-    /** Streaming hook: forward filled-region spans of this tracer's
-     *  output to `cb` (see TopaBuffer::setRegionReadyCallback). Install
-     *  after configure(); configure() replaces the output chain. */
-    void setRegionReadyCallback(TopaBuffer::RegionReadyFn cb)
-    {
-        output().setRegionReadyCallback(std::move(cb));
-    }
-
     MsrFile &msrs() { return msrs_; }
     const MsrFile &msrs() const { return msrs_; }
     TopaBuffer &output() { return out_ ? *out_ : topa_; }

@@ -24,8 +24,8 @@
  * std::mutex.
  *
  * The lock hierarchy (acquire downward only — see DESIGN.md §8):
- *   pool < decode queue < decode core < agent queue < commit log
- *        < ingest < shard < wal < store < metrics < obs < leaf
+ *   pool < agent queue < commit log < ingest < shard < wal < store
+ *        < metrics < obs < leaf
  */
 #ifndef EXIST_UTIL_LOCK_ORDER_H
 #define EXIST_UTIL_LOCK_ORDER_H
@@ -45,8 +45,6 @@ namespace exist::lockorder {
  */
 enum class LockRank : int {
     kPool = 0,         ///< runtime/thread_pool deque + idle locks
-    kDecodeQueue = 10, ///< streaming decode RegionQueue
-    kDecodeCore = 20,  ///< streaming decode per-core stream state
     kAgentQueue = 25,  ///< agent/trace_agent bounded send queue
     kCommitLog = 30,   ///< cluster/shard sequenced commit log
     kIngest = 35,      ///< cluster/ingest reassembly + dedup state

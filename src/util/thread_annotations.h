@@ -6,9 +6,9 @@
  * a Clang build with -DEXIST_THREAD_SAFETY=ON (the default under
  * Clang) proves the locking discipline at compile time:
  *
- *   class RegionQueue {
- *     Mutex mu_{lockorder::LockRank::kDecodeQueue, "decode.queue"};
- *     std::deque<TraceRegion> q_ EXIST_GUARDED_BY(mu_);
+ *   class TraceAgent {
+ *     Mutex mu_{lockorder::LockRank::kAgentQueue, "agent.queue"};
+ *     std::map<std::uint64_t, Stream> streams_ EXIST_GUARDED_BY(mu_);
  *   };
  *
  * Under GCC (or with the option off) the attributes expand to nothing

@@ -93,7 +93,6 @@ TEST(Crd, RejectsMalformedManifests)
         {"app=x budget_mb=99999999999999999999999", "budget_mb wants"},
         {"app=x anomaly=yes", "anomaly wants true, false, 1 or 0"},
         {"app=x ring=on", "ring wants"},
-        {"app=x streaming=2", "streaming wants"},
         {"app=x net=TRUE", "net wants"},
         {"app=x loss=x", "loss wants a probability in [0, 1)"},
         {"app=x loss=1", "loss wants"},
@@ -107,6 +106,7 @@ TEST(Crd, RejectsMalformedManifests)
          "unknown manifest key 'snapshot_interval'"},
         {"app=x decode_cache=off", "unknown manifest key 'decode_cache'"},
         {"app=x tnt_memo_bits=0", "unknown manifest key 'tnt_memo_bits'"},
+        {"app=x streaming=true", "unknown manifest key 'streaming'"},
     };
     for (const auto &[manifest, want] : cases) {
         TraceRequest req;

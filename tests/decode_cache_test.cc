@@ -2,14 +2,13 @@
  * @file
  * Decode fast-path equivalence (DESIGN.md §11): the BlockCache +
  * TNT-run memo must be bit-identical to the cache-off reference for
- * every memo window size, for any chunking of the byte stream, with
- * path recording on, and across warm memo-pool reuse. Also exercises
- * one BlockCache and one TntMemoPool shared by concurrent decoders —
- * the file is part of the concurrency suite so that runs under TSan.
+ * every memo window size, with path recording on, and across warm
+ * memo-pool reuse. Also exercises one BlockCache and one TntMemoPool
+ * shared by concurrent decoders — the file is part of the concurrency
+ * suite so that runs under TSan.
  */
 #include <gtest/gtest.h>
 
-#include <random>
 #include <thread>
 #include <vector>
 
@@ -71,22 +70,6 @@ offOptions()
     return o;
 }
 
-/** Split [0, n) into random-sized chunks (at least 1 byte each). */
-std::vector<std::size_t>
-randomChunks(std::size_t n, std::uint32_t seed, std::size_t max_chunk)
-{
-    std::mt19937 rng(seed);
-    std::uniform_int_distribution<std::size_t> dist(1, max_chunk);
-    std::vector<std::size_t> sizes;
-    std::size_t placed = 0;
-    while (placed < n) {
-        std::size_t sz = std::min(dist(rng), n - placed);
-        sizes.push_back(sz);
-        placed += sz;
-    }
-    return sizes;
-}
-
 TEST(DecodeCache, OnOffIdenticalAcrossMemoBits)
 {
     const auto &traces = sessionTraces();
@@ -120,33 +103,6 @@ TEST(DecodeCache, RecordPathIdenticalOnOff)
     const DecodedTrace b = on_rec.decode(ct.bytes);
     EXPECT_FALSE(a.block_path.empty());
     expectSameDecode(b, a);
-}
-
-TEST(DecodeCache, ChunkedStreamingIdenticalAcrossMemoBits)
-{
-    const auto &traces = sessionTraces();
-    ASSERT_FALSE(traces.empty());
-    auto bin = Testbed::binaryForApp("mc");
-    const CollectedTrace &ct = traces.front();
-    FlowReconstructor off_rec(bin.get(), offOptions());
-    const DecodedTrace ref = off_rec.decode(ct.bytes);
-    for (int k : {1, 6, 16}) {
-        DecodeOptions on;
-        on.tnt_memo_bits = k;
-        FlowReconstructor rec(bin.get(), on);
-        for (std::uint32_t seed : {11u, 12u, 13u}) {
-            // Mix tiny chunks (mid-packet boundaries) with large ones.
-            const std::size_t max_chunk = seed % 2 ? 7 : 1024;
-            FlowStream fs = rec.stream();
-            std::size_t off_bytes = 0;
-            for (std::size_t sz :
-                 randomChunks(ct.bytes.size(), seed, max_chunk)) {
-                fs.append(ct.bytes.data() + off_bytes, sz);
-                off_bytes += sz;
-            }
-            expectSameDecode(fs.finish(), ref);
-        }
-    }
 }
 
 TEST(DecodeCache, WarmMemoPoolReuseIsIdentical)

@@ -322,10 +322,9 @@ TEST(Fuzz, RandomManifestsParseOrFailNeverAbort)
     // an error. It never aborts.
     Rng rng(405);
     const char *keys[] = {"app", "anomaly", "period_ms", "budget_mb",
-                          "ring", "core_sample_ratio", "streaming",
-                          "net", "loss", "reorder", "duplicate",
-                          "link_latency_us", "wal", "tnt_memo_bits",
-                          "frobnicate", ""};
+                          "ring", "core_sample_ratio", "net", "loss",
+                          "reorder", "duplicate", "link_latency_us",
+                          "wal", "tnt_memo_bits", "frobnicate", ""};
     const char *values[] = {"", "0", "1", "-1", "true", "false", "abc",
                             "0.5", "1e9", "1e300", "-0", "inf", "nan",
                             "0x1p3", "1048577", "99999999999999999999",

@@ -175,73 +175,6 @@ TEST(Topa, DrainAfterWrapDoesNotReplayStaleData)
     EXPECT_FALSE(buf.hasWrapped());
 }
 
-TEST(Topa, RegionReadyPublishesFilledRegions)
-{
-    TopaBuffer buf;
-    buf.configure({TopaEntry{4, false, false},
-                   TopaEntry{4, false, false},
-                   TopaEntry{8, true, false}},
-                  false);
-    std::vector<std::uint8_t> published;
-    std::vector<std::uint64_t> spans;
-    buf.setRegionReadyCallback(
-        [&](const std::uint8_t *d, std::uint64_t n) {
-            published.insert(published.end(), d, d + n);
-            spans.push_back(n);
-        });
-
-    std::uint8_t data[24];
-    for (int i = 0; i < 24; ++i)
-        data[i] = static_cast<std::uint8_t>(i);
-
-    // Mid-region write publishes nothing.
-    buf.write(data, 3);
-    EXPECT_TRUE(published.empty());
-    EXPECT_EQ(buf.publishedBytes(), 0u);
-
-    // Crossing the first boundary publishes the filled region; one
-    // write crossing several boundaries publishes each crossed span.
-    buf.write(data + 3, 6);  // cursor 9: regions 0 and 1 filled
-    ASSERT_EQ(spans.size(), 2u);
-    EXPECT_EQ(spans[0], 4u);
-    EXPECT_EQ(spans[1], 4u);
-    EXPECT_EQ(buf.publishedBytes(), 8u);
-
-    // Filling the STOP region publishes it too; the overflow is
-    // dropped, not published.
-    TopaWriteResult r = buf.write(data + 9, 15);
-    EXPECT_EQ(r.accepted, 7u);
-    EXPECT_TRUE(buf.stopped());
-    EXPECT_EQ(buf.publishedBytes(), 16u);
-
-    // The concatenated published spans are exactly the stored bytes:
-    // publishing is non-destructive and in order.
-    ASSERT_EQ(published.size(), 16u);
-    for (int i = 0; i < 16; ++i)
-        EXPECT_EQ(published[static_cast<std::size_t>(i)], i);
-    EXPECT_EQ(buf.flushRegionReady(), 0u);  // nothing unpublished
-}
-
-TEST(Topa, FlushRegionReadyPublishesTail)
-{
-    TopaBuffer buf;
-    buf.configure({TopaEntry{8, true, false}}, false);
-    std::vector<std::uint8_t> published;
-    buf.setRegionReadyCallback(
-        [&](const std::uint8_t *d, std::uint64_t n) {
-            published.insert(published.end(), d, d + n);
-        });
-    std::uint8_t data[5] = {9, 8, 7, 6, 5};
-    buf.write(data, 5);
-    EXPECT_TRUE(published.empty());  // no boundary crossed yet
-    EXPECT_EQ(buf.flushRegionReady(), 5u);
-    ASSERT_EQ(published.size(), 5u);
-    EXPECT_EQ(published[0], 9);
-    EXPECT_EQ(published[4], 5);
-    EXPECT_EQ(buf.flushRegionReady(), 0u);  // idempotent
-    EXPECT_EQ(buf.publishedBytes(), 5u);
-}
-
 TEST(PacketWriter, TntPacksSixPerByte)
 {
     TopaBuffer buf;

@@ -3,10 +3,9 @@
  * Durability-plane tests (DESIGN.md §12): WAL framing and replay
  * rules, snapshot round-trips and fallback, and the headline crash
  * matrix — kill the control plane at every named crash point (and at
- * randomized journal-order steps) across shard counts, batch vs
- * streaming decode, and in-process vs fabric collection, recover
- * from the WAL, and require the recovered artifacts byte-identical
- * to a crash-free run.
+ * randomized journal-order steps) across shard counts and in-process
+ * vs fabric collection, recover from the WAL, and require the
+ * recovered artifacts byte-identical to a crash-free run.
  *
  * Crash style here is the in-process one: a test handler throws
  * CrashInjected, the master runs with threads=1 so the exception
@@ -347,12 +346,14 @@ TEST(SnapshotTest, CorruptNewestFallsBackToOlder)
 TEST(DurabilityCrdTest, WalKeysFailRecoveryAsCorruption)
 {
     // The journal comes from existctl's --wal/--snapshot-interval, not
-    // the CRD: a logged manifest naming wal= or snapshot_interval= (or
-    // anything else parse() rejects) makes recovery fail loudly at
-    // that record instead of aborting or dropping the request.
+    // the CRD, and decode runs only after the window: a logged manifest
+    // naming wal=, snapshot_interval= or streaming= (or anything else
+    // parse() rejects) makes recovery fail loudly at that record
+    // instead of aborting or dropping the request.
     for (const char *manifest :
          {"app=Cache budget_mb=64 wal=/tmp/exist-wal",
-          "app=Cache snapshot_interval=4", "app=Cache period_ms=abc"}) {
+          "app=Cache snapshot_interval=4", "app=Cache streaming=true",
+          "app=Cache period_ms=abc"}) {
         fs::path dir = freshDir("badadmit");
         {
             Wal wal(Wal::Config{dir.string()});
@@ -400,7 +401,6 @@ struct RunConfig {
      *  log from a version with a serial control plane — and runs and
      *  recovers as one lane. */
     int shards = 1;
-    bool streaming = false;
     bool net = false;
     std::uint64_t snapshot_interval = 0;  ///< 0 = never snapshot
 };
@@ -423,8 +423,6 @@ std::vector<std::string>
 demoManifests(const RunConfig &cfg)
 {
     std::string extra;
-    if (cfg.streaming)
-        extra += " streaming=true";
     if (cfg.net)
         extra += " net=true";
     return {
@@ -620,55 +618,36 @@ crashRecoverCompare(const RunConfig &cfg, const std::string &spec,
 
 TEST(RecoveryMatrixTest, BatchCombos)
 {
-    // shards x collection transport, batch decode; one representative
-    // crash point each (ingest-frame only exists on the net path).
+    // shards x collection transport; one representative crash point
+    // each (ingest-frame only exists on the net path).
     {
-        RunConfig cfg{/*shards=*/1, /*streaming=*/false,
-                      /*net=*/false, /*snapshot_interval=*/0};
+        RunConfig cfg{/*shards=*/1, /*net=*/false,
+                      /*snapshot_interval=*/0};
         Artifacts want = golden(cfg);
         crashRecoverCompare(cfg, "pre-store:2", want, "b1i");
     }
     {
-        RunConfig cfg{4, false, false, 0};
+        RunConfig cfg{4, false, 0};
         Artifacts want = golden(cfg);
         crashRecoverCompare(cfg, "admit:3", want, "b4i");
     }
     {
-        RunConfig cfg{1, false, true, 0};
+        RunConfig cfg{1, true, 0};
         Artifacts want = golden(cfg);
         crashRecoverCompare(cfg, "ingest-frame:3", want, "b1n");
     }
     {
-        RunConfig cfg{4, false, true, 0};
+        RunConfig cfg{4, true, 0};
         Artifacts want = golden(cfg);
         crashRecoverCompare(cfg, "post-plan:2", want, "b4n");
     }
 }
 
-TEST(RecoveryMatrixTest, StreamingCombos)
-{
-    {
-        RunConfig cfg{1, true, false, 0};
-        Artifacts want = golden(cfg);
-        crashRecoverCompare(cfg, "post-plan:3", want, "s1i");
-    }
-    {
-        RunConfig cfg{4, true, false, 0};
-        Artifacts want = golden(cfg);
-        crashRecoverCompare(cfg, "pre-store:3", want, "s4i");
-    }
-    {
-        RunConfig cfg{1, true, true, 0};
-        Artifacts want = golden(cfg);
-        crashRecoverCompare(cfg, "ingest-frame:5", want, "s1n");
-    }
-}
-
-TEST(RecoveryMatrixTest, EveryNamedPointShardedStreamingNet)
+TEST(RecoveryMatrixTest, EveryNamedPointShardedNet)
 {
     // The heavy combo crosses all six named points (snapshots due
     // every 2 publishes). Each one must recover byte-identically.
-    RunConfig cfg{4, true, true, /*snapshot_interval=*/2};
+    RunConfig cfg{4, true, /*snapshot_interval=*/2};
     Artifacts want = golden(cfg);
     int i = 0;
     for (const char *point :
@@ -682,7 +661,7 @@ TEST(RecoveryMatrixTest, ZeroShardLogFromOlderVersionRecovers)
 {
     // meta.shards == 0 is what versions with a serial control plane
     // logged; such a log must still recover, into one lane.
-    RunConfig cfg{/*shards=*/0, false, true, 0};
+    RunConfig cfg{/*shards=*/0, true, 0};
     Artifacts want = golden(cfg);
     crashRecoverCompare(cfg, "pre-store:2", want, "zero");
     crashRecoverCompare(cfg, "ingest-frame:2", want, "zero2");
@@ -694,7 +673,7 @@ TEST(RecoveryMatrixTest, RandomizedEventQueueSteps)
     // crash-free journaled run, then kill the master at >= 8
     // uniformly drawn journal-order boundaries. Every draw must
     // recover byte-identically.
-    RunConfig cfg{4, true, true, /*snapshot_interval=*/2};
+    RunConfig cfg{4, true, /*snapshot_interval=*/2};
     Artifacts want = golden(cfg);
 
     fs::path probe = freshDir("stepspace");
@@ -718,7 +697,7 @@ TEST(RecoveryTest, JournaledRunMatchesUnjournaledByteForByte)
     // a crash-free journaled run leaves a replayable log behind.
     for (int shards : {1, 2}) {
         SCOPED_TRACE("shards=" + std::to_string(shards));
-        RunConfig cfg{shards, false, false, /*snapshot_interval=*/2};
+        RunConfig cfg{shards, false, /*snapshot_interval=*/2};
         Artifacts want = golden(cfg);
 
         fs::path dir = freshDir("walonoff");
@@ -749,7 +728,7 @@ TEST(RecoveryTest, SnapshotBoundsReplayNotRunLength)
     // The recovery-latency contract: with snapshots every 2
     // publishes, the WAL tail replayed after a long run stays O(1)
     // records, however many requests completed before the crash.
-    RunConfig cfg{2, false, false, /*snapshot_interval=*/2};
+    RunConfig cfg{2, false, /*snapshot_interval=*/2};
     fs::path dir = freshDir("bounded");
     {
         Cluster cluster(smallConfig());

@@ -24,8 +24,6 @@ from dataclasses import dataclass, field
 
 LOCK_RANKS = {
     "kPool": 0,
-    "kDecodeQueue": 10,
-    "kDecodeCore": 20,
     "kAgentQueue": 25,
     "kCommitLog": 30,
     "kIngest": 35,
@@ -193,7 +191,7 @@ class EnumDef:
 class CallbackReg:
     """`slot = lambda` / `slot = fn` where slot is a std::function-ish
     member: the dynamic-dispatch edge a static call graph would miss."""
-    slot: str         # member identifier ("deliver", "on_region")
+    slot: str         # member identifier ("deliver", "on_stop")
     target: str       # lambda synthetic name or function name
     file: str
     line: int

@@ -12,7 +12,7 @@ CMakeCache.txt, and the git commit of this checkout (suffixed
 git checkout). Only compare documents that agree on all four.
 
 Sets:
-    decode   decode_throughput + decode_latency
+    decode   decode_throughput
              + micro_bench (TNT-memo sweep)      -> BENCH_decode.json
     cluster  reconcile_throughput                -> BENCH_cluster.json
     net      collect_throughput                  -> BENCH_net.json
@@ -40,7 +40,7 @@ import subprocess
 import sys
 
 BENCH_SETS = {
-    "decode": ["decode_throughput", "decode_latency", "micro_bench"],
+    "decode": ["decode_throughput", "micro_bench"],
     "cluster": ["reconcile_throughput"],
     "net": ["collect_throughput"],
     "durability": ["recovery_time"],
@@ -189,17 +189,6 @@ def summarize(records):
             "best_threads": best.get("threads"),
             "segments_per_sec": best.get("segments_per_sec"),
             "all_identical": all(r.get("identical") for r in tp),
-        }
-    lat = [r for r in records
-           if r.get("bench") == "decode_latency"
-           and r.get("mode") == "streaming"]
-    if lat:
-        best = max(lat, key=lambda r: r.get("speedup_vs_batch", 0.0))
-        summary["decode_latency"] = {
-            "best_speedup_vs_batch": best.get("speedup_vs_batch"),
-            "best_threads": best.get("threads"),
-            "trace_end_to_report_s": best.get("trace_end_to_report_s"),
-            "all_identical": all(r.get("identical") for r in lat),
         }
     rec = [r for r in records
            if r.get("bench") == "reconcile_throughput"

@@ -9,7 +9,7 @@
  *   existctl trace <app> [--period-ms N] [--budget-mb N]
  *                        [--backend EXIST|StaSam|eBPF|NHT|Oracle]
  *                        [--cores N] [--clients N] [--report]
- *                        [--threads N] [--streaming] [--shards N]
+ *                        [--threads N] [--shards N]
  *                        [--net] [--loss R] [--reorder R]
  *                        [--duplicate R] [--link-latency-us N]
  *       Run one node-level tracing session against a synthetic
@@ -17,15 +17,12 @@
  *       --report, also synthesize the human-readable behaviour report
  *       from the session's own decode (the one behind the coverage
  *       and accuracy rows; nothing is decoded twice).
- *       Eight flags are TraceRequest manifest keys (cluster/crd.h) and
+ *       Seven flags are TraceRequest manifest keys (cluster/crd.h) and
  *       go through its one parser: --period-ms (period_ms, default
- *       200), --budget-mb, --streaming, --net, --loss, --reorder,
- *       --duplicate and --link-latency-us. The request they fill is
+ *       200), --budget-mb, --net, --loss, --reorder, --duplicate and
+ *       --link-latency-us. The request they fill is
  *       the single-node session's configuration, or, with --shards or
  *       --wal, the request the control plane reconciles.
- *       --streaming overlaps trace collection with flow reconstruction
- *       (EXIST backend only), shrinking the trace-end-to-report-ready
- *       latency; the decoded output is bit-identical to batch.
  *       --shards N switches to the sharded control plane: a demo
  *       cluster deploys <app>, a stream of anomaly requests reconciles
  *       across N API-server shards, and the merged reports print.
@@ -139,9 +136,9 @@ usage()
         "       existctl trace <app> [--period-ms N] [--budget-mb N]\n"
         "                      [--backend NAME] [--cores N]\n"
         "                      [--clients N] [--report] [--threads N]\n"
-        "                      [--streaming] [--shards N]\n"
-        "                      [--net] [--loss R] [--reorder R]\n"
-        "                      [--duplicate R] [--link-latency-us N]\n"
+        "                      [--shards N] [--net] [--loss R]\n"
+        "                      [--reorder R] [--duplicate R]\n"
+        "                      [--link-latency-us N]\n"
         "       existctl cluster <manifest>... [--threads N]\n"
         "       existctl metrics [<manifest>...] [--shards N]\n"
         "                      [--threads N]\n"
@@ -256,8 +253,8 @@ manifestArg(const char *text)
     return req;
 }
 
-/** The trace flags that are manifest keys. --streaming and --net take
- *  no value; they set their key to true. */
+/** The trace flags that are manifest keys. --net takes no value; it
+ *  sets its key to true. */
 struct RequestFlag {
     const char *flag;
     const char *key;
@@ -266,7 +263,6 @@ struct RequestFlag {
 constexpr RequestFlag kRequestFlags[] = {
     {"--period-ms", "period_ms", true},
     {"--budget-mb", "budget_mb", true},
-    {"--streaming", "streaming", false},
     {"--net", "net", false},
     {"--loss", "loss", true},
     {"--reorder", "reorder", true},
@@ -510,7 +506,6 @@ cmdTrace(int argc, char **argv)
     spec.session.budget_mb = req.budget_mb;
     spec.decode = true;
     spec.decode_threads = threads;
-    spec.streaming = req.streaming;
 
     std::printf("tracing '%s' with %s for %.0f ms on a %d-core node "
                 "(budget %llu MB)...\n",
@@ -559,10 +554,6 @@ cmdTrace(int argc, char **argv)
     table.row({"Wall accuracy",
                TableWriter::pct(r.accuracy_wall, 1)});
     table.print();
-    // Wall-clock, so stderr: stdout stays byte-comparable across
-    // thread counts and decode modes.
-    note("existctl", "report ready %.2f ms after trace end (%s decode)",
-         r.report_latency_s * 1e3, r.streamed ? "streaming" : "batch");
 
     // Synthesized from the session's own decode, the one behind the
     // coverage and Wall accuracy rows above.
