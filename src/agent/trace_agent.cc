@@ -45,7 +45,7 @@ TraceAgent::rtoAfter(int retries) const
 
 void
 TraceAgent::ship(std::uint64_t stream, std::vector<std::uint8_t> payload,
-                 std::string summary, std::uint64_t start_seq)
+                 std::string summary)
 {
     MutexLock lk(mu_);
     EXIST_ASSERT(streams_.find(stream) == streams_.end(),
@@ -54,19 +54,11 @@ TraceAgent::ship(std::uint64_t stream, std::vector<std::uint8_t> payload,
     Stream &s = streams_[stream];
     s.total_batches =
         (payload.size() + cfg_.batch_bytes - 1) / cfg_.batch_bytes;
-    EXIST_ASSERT(start_seq <= s.total_batches,
-                 "agent %d: resume seq %llu past stream extent", node_,
-                 (unsigned long long)start_seq);
     s.payload = std::move(payload);
     s.summary = std::move(summary);
-    // Resume point: everything below start_seq was delivered to (and
-    // journaled by) the master before the crash.
-    s.next_to_stage = start_seq;
-    s.delivered = start_seq;
-    // Optimistic initial credit: one agent window past the resume
-    // point. The first ack replaces it with the master's real
-    // receive window.
-    s.credit_horizon = start_seq + cfg_.window;
+    // Optimistic initial credit: one agent window. The first ack
+    // replaces it with the master's real receive window.
+    s.credit_horizon = cfg_.window;
     stageAndPump(stream, s);
     if (s.staged.empty() && s.next_to_stage == s.total_batches &&
         !s.finale_sent)
@@ -266,7 +258,6 @@ TraceAgent::onAck(const net::AckMsg &ack)
                 if (bit->second.timer != kInvalidEvent)
                     queue_->cancel(bit->second.timer);
                 s.staged.erase(bit);
-                s.delivered += 1;
             } else {
                 stats_.dup_acks += 1;
             }

@@ -90,15 +90,11 @@ class TraceAgent
     /**
      * Enqueue one session payload for shipment as stream `stream`
      * (unique per agent). Staging, sending, retries and the finale
-     * all run on the event queue from here on. `start_seq` resumes a
-     * recovered transfer: batches [0, start_seq) are treated as
-     * already delivered (the master's ingest holds their journaled
-     * prefix), so staging begins there; start_seq == total batches
-     * degenerates to a finale-only stream.
+     * all run on the event queue from here on; an empty payload is
+     * a finale-only stream.
      */
     void ship(std::uint64_t stream, std::vector<std::uint8_t> payload,
-              std::string summary, std::uint64_t start_seq = 0)
-        EXIST_EXCLUDES(mu_);
+              std::string summary) EXIST_EXCLUDES(mu_);
 
     /** True once every shipped stream's finale has been acked. */
     bool idle() const EXIST_EXCLUDES(mu_);
@@ -119,7 +115,6 @@ class TraceAgent
         std::uint64_t total_batches = 0;
         std::uint64_t next_to_stage = 0;   ///< next seq to materialize
         std::map<std::uint64_t, Batch> staged;  ///< seq -> in-queue
-        std::uint64_t delivered = 0;       ///< acked batch count
         std::uint64_t credit_horizon = 0;  ///< master allows seq < this
         Cycles stalled_since = 0;          ///< 0 = not stalled
         bool degraded = false;

@@ -69,7 +69,6 @@ class ThreadAttributor
     merge(const std::vector<std::map<ThreadId, ThreadTrace>> &parts);
 
     const std::vector<OccupancySlice> &timeline(CoreId core) const;
-    std::size_t coreCount() const { return timelines_.size(); }
 
   private:
     std::map<CoreId, std::vector<OccupancySlice>> timelines_;

@@ -8,7 +8,6 @@
 
 #include "cluster/session_payload.h"
 #include "obs/trace_plane.h"
-#include "util/logging.h"
 #include "util/rng.h"
 
 namespace exist {
@@ -30,8 +29,7 @@ struct Shipment {
 CollectionOutcome
 runCollection(const net::NetSpec &spec, std::uint64_t seed,
               const std::string &app, std::vector<Shipment> shipments,
-              metrics::Registry *registry,
-              const CollectHooks *hooks = nullptr)
+              metrics::Registry *registry)
 {
     CollectionOutcome out;
     out.ran = true;
@@ -40,10 +38,7 @@ runCollection(const net::NetSpec &spec, std::uint64_t seed,
     EXIST_SPAN("collect.run", obs::corrId(seed, shipments.size()));
     EventQueue q;
     net::Fabric fabric(&q, spec, seed);
-    IngestConfig icfg;
-    if (hooks != nullptr && hooks->on_consume)
-        icfg.on_consume = hooks->on_consume;
-    Ingest ingest(&q, &fabric, kCollectorNode, icfg);
+    Ingest ingest(&q, &fabric, kCollectorNode);
     fabric.attach(kCollectorNode,
                   [&ingest](NodeId src,
                             const std::vector<std::uint8_t> &bytes) {
@@ -65,41 +60,8 @@ runCollection(const net::NetSpec &spec, std::uint64_t seed,
             it = agents.emplace(sh.node, std::move(a)).first;
         }
         SessionPayload p = SessionPayload::fromResult(*sh.result, app);
-        std::vector<std::uint8_t> bytes = p.encode();
-        std::string summary = p.encodeSummary();
         SessionPayload::stripResult(sh.result, app);
-
-        // Resume a recovered transfer: the WAL holds the prefix the
-        // crashed master already consumed. The recomputed payload must
-        // byte-match the journaled prefix — the sessions are
-        // deterministic replays of the same seeds, so a mismatch means
-        // the log and this binary disagree and resuming would splice
-        // two different payloads together. Fail loudly instead.
-        std::uint64_t start_seq = 0;
-        if (hooks != nullptr) {
-            auto rit = hooks->resume.find({sh.node, sh.stream});
-            if (rit != hooks->resume.end()) {
-                const StreamResume &cur = rit->second;
-                const agent::AgentConfig acfg;
-                std::uint64_t total =
-                    (bytes.size() + acfg.batch_bytes - 1) /
-                    acfg.batch_bytes;
-                EXIST_ASSERT(
-                    cur.total_batches == total &&
-                        cur.prefix.size() <= bytes.size() &&
-                        std::equal(cur.prefix.begin(),
-                                   cur.prefix.end(), bytes.begin()),
-                    "resume cursor for node %d stream %llu does not "
-                    "match the recomputed session payload", sh.node,
-                    (unsigned long long)sh.stream);
-                ingest.restoreStream(sh.node, sh.stream,
-                                     cur.total_batches, cur.cumulative,
-                                     cur.prefix);
-                start_seq = cur.cumulative;
-            }
-        }
-        it->second->ship(sh.stream, std::move(bytes),
-                         std::move(summary), start_seq);
+        it->second->ship(sh.stream, p.encode(), p.encodeSummary());
     }
 
     const Cycles deadline =
@@ -198,7 +160,7 @@ collectSeed(std::uint64_t cluster_seed, std::uint64_t request_id)
 
 CollectionOutcome
 collectPlan(RequestPlan &plan, std::uint64_t cluster_seed,
-            metrics::Registry *registry, const CollectHooks *hooks)
+            metrics::Registry *registry)
 {
     const net::NetSpec spec = plan.req->netSpec();
     if (plan.sessions.empty() || !spec.enabled)
@@ -209,8 +171,7 @@ collectPlan(RequestPlan &plan, std::uint64_t cluster_seed,
         shipments.push_back(Shipment{plan.sessions[i].node, i,
                                      &plan.sessions[i].result});
     return runCollection(spec, collectSeed(cluster_seed, plan.req->id),
-                         plan.req->app, std::move(shipments), registry,
-                         hooks);
+                         plan.req->app, std::move(shipments), registry);
 }
 
 CollectionOutcome

@@ -26,7 +26,6 @@
 #include <string>
 
 #include "agent/trace_agent.h"
-#include "cluster/control_journal.h"
 #include "cluster/ingest.h"
 #include "cluster/metrics.h"
 #include "cluster/shard/plan.h"
@@ -64,19 +63,14 @@ struct CollectionOutcome {
  * sessions: strip each session result's collection-borne fields,
  * ship them through agents over the fabric, reassemble at the
  * ingest, re-apply. Publishes net.* / agent.* metrics into
- * `registry` (nullptr = skip).
- *
- * `hooks` (nullable) carries the durability plane's ingest hooks:
- * on_consume journals every in-order consumed batch, and `resume`
- * pre-seeds the ingest + agents with cursors recovered from the WAL
- * so a resumed stream ships only its undelivered tail. A resume
- * cursor whose journaled prefix does not byte-match the recomputed
- * session payload is a determinism violation and fails loudly.
+ * `registry` (nullptr = skip). Nothing of the run is journaled: a
+ * request that crashed mid-collection is re-planned and collected
+ * again over the same collectSeed() fabric, which repeats the
+ * transfer exactly.
  */
 CollectionOutcome collectPlan(RequestPlan &plan,
                               std::uint64_t cluster_seed,
-                              metrics::Registry *registry,
-                              const CollectHooks *hooks = nullptr);
+                              metrics::Registry *registry);
 
 /** Single-session variant (existctl trace --net): node 0 -> master
  *  over a private fabric seeded with `seed`. */

@@ -33,27 +33,18 @@
 
 namespace exist {
 
-/** Ingest reassembly cursor of one agent stream, persisted per
- *  in-order-consumed batch and used to resume the stream after
- *  recovery instead of re-shipping delivered bytes. */
-struct StreamResume {
-    std::uint64_t total_batches = 0;  ///< the stream's full extent
-    std::uint64_t cumulative = 0;  ///< batches [0, cumulative) consumed
-    std::vector<std::uint8_t> prefix;  ///< their reassembled payload
-};
-
 /**
- * Collection-plane durability hooks for one request, passed into
- * collectPlan(): on_consume fires on every in-order batch consume
- * (the ingest watermark append), `resume` pre-seeds the ingest and
- * agents with the recovered cursors.
+ * Retired: the collection plane journals nothing, so nothing calls
+ * ControlJournal::collectHooks() or reads this struct. Both stay only
+ * because the benchmark's TimingJournal (perfbench/common.h) still
+ * overrides the hook and wraps on_consume; the next benchmark change
+ * drops that override, and then both go.
  */
 struct CollectHooks {
     std::function<void(NodeId node, std::uint64_t stream,
                        std::uint64_t seq, std::uint64_t total_batches,
                        const std::vector<std::uint8_t> &chunk)>
         on_consume;
-    std::map<std::pair<NodeId, std::uint64_t>, StreamResume> resume;
 };
 
 /**
@@ -85,9 +76,8 @@ class ControlJournal
     /** Planning finished (outcome = kRunning/kFailed); the phase flip
      *  follows. Implementations log the plan seed for replay checks. */
     virtual void onPlanned(std::uint64_t id, RequestPhase outcome) = 0;
-    /** Hooks for this request's collection run (ingest watermarks +
-     *  recovered resume cursors). */
-    virtual CollectHooks collectHooks(std::uint64_t id) = 0;
+    /** Retired (see CollectHooks): nothing calls it. */
+    virtual CollectHooks collectHooks(std::uint64_t /*id*/) { return {}; }
     /** Publish effects are final; called from the sequenced commit
      *  action (so in global id order), before it applies them to the
      *  stores, the ledger and the report map. */

@@ -105,9 +105,6 @@ Ingest::onBatch(const net::TraceRegionBatchMsg &msg)
     stats_.batches_accepted += 1;
     if (msg.batch_seq == s.cumulative) {
         // In-order: consume immediately, then drain the held run.
-        // The durability hook fires before each consume mutates the
-        // payload (WAL-before-state), so a crash between them replays
-        // the append instead of losing an acked batch.
         std::uint64_t consume_corr =
             batchCorr(msg.node, msg.stream, msg.batch_seq);
         obs::simFlowEnd("collect.batch", consume_corr, queue_->now(),
@@ -115,9 +112,6 @@ Ingest::onBatch(const net::TraceRegionBatchMsg &msg)
         obs::simInstant("ingest.consume", consume_corr, queue_->now(),
                         obsNode(node_),
                         static_cast<std::uint32_t>(msg.batch_seq));
-        if (cfg_.on_consume)
-            cfg_.on_consume(msg.node, msg.stream, msg.batch_seq,
-                            s.total_batches, msg.chunk);
         s.payload.insert(s.payload.end(), msg.chunk.begin(),
                          msg.chunk.end());
         s.cumulative += 1;
@@ -127,9 +121,6 @@ Ingest::onBatch(const net::TraceRegionBatchMsg &msg)
                             batchCorr(msg.node, msg.stream, it->first),
                             queue_->now(), obsNode(node_),
                             static_cast<std::uint32_t>(it->first));
-            if (cfg_.on_consume)
-                cfg_.on_consume(msg.node, msg.stream, it->first,
-                                s.total_batches, it->second);
             s.payload.insert(s.payload.end(), it->second.begin(),
                              it->second.end());
             s.cumulative += 1;
@@ -257,22 +248,6 @@ Ingest::stats() const
 {
     MutexLock lk(mu_);
     return stats_;
-}
-
-void
-Ingest::restoreStream(NodeId node, std::uint64_t stream,
-                      std::uint64_t total_batches,
-                      std::uint64_t cumulative,
-                      std::vector<std::uint8_t> prefix)
-{
-    MutexLock lk(mu_);
-    Stream &s = streams_[{node, stream}];
-    EXIST_ASSERT(s.cumulative == 0 && s.payload.empty(),
-                 "restoreStream over a live stream %d/%llu", node,
-                 (unsigned long long)stream);
-    s.total_batches = total_batches;
-    s.cumulative = cumulative;
-    s.payload = std::move(prefix);
 }
 
 }  // namespace exist

@@ -28,7 +28,6 @@
 #define EXIST_CLUSTER_INGEST_H
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -44,17 +43,6 @@ struct IngestConfig {
     /** Out-of-order batches held per stream beyond the contiguous
      *  prefix; also the advertised window ceiling. */
     std::size_t buffer_batches = 64;
-    /**
-     * Durability hook, fired on every in-order consume (both the
-     * directly in-order batch and each batch drained from the held
-     * run) BEFORE the payload mutation — the WAL append that makes
-     * the ingest watermark durable ahead of the state it covers. Not
-     * fired for restoreStream()ed prefixes (already journaled).
-     */
-    std::function<void(NodeId node, std::uint64_t stream,
-                       std::uint64_t seq, std::uint64_t total_batches,
-                       const std::vector<std::uint8_t> &chunk)>
-        on_consume;
 };
 
 struct IngestStats {
@@ -108,17 +96,6 @@ class Ingest
 
     IngestStats stats() const EXIST_EXCLUDES(mu_);
     NodeId node() const { return node_; }
-
-    /**
-     * Recovery-only: pre-seed a stream with its journaled in-order
-     * prefix, so the resumed agent ships batches [cumulative, total)
-     * and the reassembly continues where the crashed master stopped.
-     */
-    void restoreStream(NodeId node, std::uint64_t stream,
-                       std::uint64_t total_batches,
-                       std::uint64_t cumulative,
-                       std::vector<std::uint8_t> prefix)
-        EXIST_EXCLUDES(mu_);
 
   private:
     struct Stream {

@@ -205,14 +205,9 @@ ShardedMaster::reconcileShard(std::size_t index,
         // over the request's private fabric before publishing. The
         // fabric is seeded by (cluster seed, request id), so the fault
         // pattern — hence the published report — is independent of
-        // shard count, thread count and reconcile interleaving.
-        {
-            CollectHooks hooks;
-            if (journal_ != nullptr)
-                hooks = journal_->collectHooks(id);
-            collectPlan(plan, cluster_->config().seed, metrics_,
-                        journal_ != nullptr ? &hooks : nullptr);
-        }
+        // shard count, thread count and reconcile interleaving, and a
+        // request recovered mid-collection repeats it exactly.
+        collectPlan(plan, cluster_->config().seed, metrics_);
 
         // Publishing is pure, so it runs here, in parallel with the
         // other lanes. The sequenced commit action below is the only

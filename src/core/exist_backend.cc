@@ -73,30 +73,10 @@ ExistBackend::collect()
     if (!kernel_)
         return out;
     for (const CoreAllocation &a : plan_.allocations) {
-        TopaBuffer &buf = kernel_->tracer(a.core).output();
         CollectedTrace ct;
         ct.core = a.core;
-        std::vector<std::uint8_t> bytes;
-        // Copy without resetting the hardware buffer: order the ring
-        // content oldest-first like the drain path does.
-        const auto &store = buf.data();
-        std::uint64_t wrap = buf.wrapOffset();
-        if (!buf.hasWrapped()) {
-            std::uint64_t n =
-                buf.bytesAccepted() > buf.capacity()
-                    ? buf.capacity()
-                    : buf.bytesAccepted();
-            bytes.assign(store.begin(),
-                         store.begin() + static_cast<std::ptrdiff_t>(n));
-        } else {
-            bytes.assign(store.begin() +
-                             static_cast<std::ptrdiff_t>(wrap),
-                         store.end());
-            bytes.insert(bytes.end(), store.begin(),
-                         store.begin() +
-                             static_cast<std::ptrdiff_t>(wrap));
-        }
-        ct.bytes = std::move(bytes);
+        // Copy without resetting the hardware buffer.
+        kernel_->tracer(a.core).output().copyTo(ct.bytes);
         out.push_back(std::move(ct));
     }
     return out;

@@ -108,7 +108,6 @@ class CoverageLedger
 
     std::uint64_t totalRequests() const { return total_requests_; }
     std::uint64_t totalSessions() const { return total_sessions_; }
-    std::size_t appCount() const { return apps_.size(); }
 
     /** Full per-app view (durability snapshots serialize this). */
     const std::map<std::string, AppCoverage> &apps() const

@@ -15,12 +15,12 @@
  *                   drawn N kills the master at an arbitrary
  *                   journal-order boundary)
  *
- * Crash-point catalog (where `hit()` is called):
+ * Crash-point catalog (where `hit()` is called; kNames lists them):
  *   admit          after the kAdmit WAL append, before the request is
  *                  inserted into the API-server map
- *   post-plan      after the kPlan append, before the phase flip
- *   ingest-frame   after a kIngestBatch append, before the ack that
- *                  lets the agent advance
+ *   post-plan      after the kPlan append, before the phase flip; a
+ *                  crash anywhere from here to pre-store (sessions,
+ *                  collection) recovers the same way: re-plan, re-run
  *   pre-store      after the kPublish append (full effects logged),
  *                  before any store/ledger/report state is written
  *   mid-snapshot   after the snapshot tmp file is written, before the
@@ -42,10 +42,16 @@
 #ifndef EXIST_DURABILITY_CRASH_POINT_H
 #define EXIST_DURABILITY_CRASH_POINT_H
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace exist::durability::crashpoint {
+
+/** Every named point, in journal order (the catalog above). */
+inline constexpr std::array<std::string_view, 5> kNames = {
+    "admit", "post-plan", "pre-store", "mid-snapshot", "post-snapshot"};
 
 /** Thrown by a test-installed handler; never escapes production use
  *  (the default handler exits the process). */

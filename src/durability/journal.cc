@@ -48,34 +48,6 @@ Journal::onPlanned(std::uint64_t id, RequestPhase outcome)
     crashpoint::hit("post-plan");
 }
 
-CollectHooks
-Journal::collectHooks(std::uint64_t id)
-{
-    CollectHooks hooks;
-    hooks.on_consume = [this, id](NodeId node, std::uint64_t stream,
-                                  std::uint64_t seq,
-                                  std::uint64_t total_batches,
-                                  const std::vector<std::uint8_t> &chunk) {
-        WalRecord rec;
-        rec.type = RecordType::kIngestBatch;
-        rec.request_id = id;
-        rec.node = node;
-        rec.stream = stream;
-        rec.seq = seq;
-        rec.total_batches = total_batches;
-        rec.chunk = chunk;
-        wal_.append(std::move(rec));
-        crashpoint::hit("ingest-frame");
-    };
-    for (const auto &[key, cur] : resume_) {
-        if (std::get<0>(key) != id)
-            continue;
-        hooks.resume.emplace(
-            std::make_pair(std::get<1>(key), std::get<2>(key)), cur);
-    }
-    return hooks;
-}
-
 void
 Journal::onPublish(std::uint64_t id, const PublishEffects &fx)
 {
@@ -86,12 +58,6 @@ Journal::onPublish(std::uint64_t id, const PublishEffects &fx)
     wal_.append(std::move(rec));
     publishes_since_snapshot_.fetch_add(1, std::memory_order_relaxed);
     crashpoint::hit("pre-store");
-}
-
-void
-Journal::setResume(CursorMap cursors)
-{
-    resume_ = std::move(cursors);
 }
 
 bool

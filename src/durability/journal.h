@@ -9,8 +9,10 @@
  * Hook -> record -> crash point:
  *   onAdmit       kAdmit        "admit"
  *   onPlanned     kPlan         "post-plan"   (logs the plan seed)
- *   on_consume    kIngestBatch  "ingest-frame"
  *   onPublish     kPublish      "pre-store"
+ *
+ * Collection is not journaled: a request that dies before its publish
+ * is re-planned and collected again after recovery.
  *
  * Snapshots: maybeSnapshot() runs at quiesced reconcile boundaries
  * (callers pass a dump closure, evaluated only when due); it writes
@@ -20,9 +22,8 @@
  *
  * Thread-safety: hooks are called from concurrent shard lanes; the
  * Wal's kWal mutex orders appends (publish appends happen inside
- * CommitLog actions, so their LSN order is the global id order), the
- * snapshot counter is atomic, and the resume map is read-only after
- * setResume().
+ * CommitLog actions, so their LSN order is the global id order), and
+ * the snapshot counter is atomic.
  */
 #ifndef EXIST_DURABILITY_JOURNAL_H
 #define EXIST_DURABILITY_JOURNAL_H
@@ -54,12 +55,7 @@ class Journal : public ControlJournal
 
     void onAdmit(const TraceRequest &req) override;
     void onPlanned(std::uint64_t id, RequestPhase outcome) override;
-    CollectHooks collectHooks(std::uint64_t id) override;
     void onPublish(std::uint64_t id, const PublishEffects &fx) override;
-
-    /** Install recovered ingest cursors (before the first reconcile;
-     *  consumed by collectHooks of the matching requests). */
-    void setResume(CursorMap cursors);
 
     /**
      * Snapshot when >= snapshot_interval publishes accumulated since
@@ -79,7 +75,6 @@ class Journal : public ControlJournal
     metrics::Registry *registry_;
     Wal wal_;
     std::atomic<std::uint64_t> publishes_since_snapshot_{0};
-    CursorMap resume_;
 };
 
 }  // namespace exist::durability

@@ -1,6 +1,5 @@
 #include "durability/recovery.h"
 
-#include <limits>
 #include <utility>
 
 #include "cluster/crd.h"
@@ -40,7 +39,6 @@ recover(const std::string &dir, metrics::Registry *registry)
     if (snap.ok) {
         st.meta = snap.state.meta;
         st.dump = std::move(snap.state.dump);
-        st.resume = std::move(snap.state.cursors);
         st.telemetry.snapshot_used = true;
         st.telemetry.snapshot_barrier = snap.state.barrier_lsn;
         from_lsn = snap.state.barrier_lsn;
@@ -119,31 +117,6 @@ recover(const std::string &dir, metrics::Registry *registry)
             break;
           }
 
-          case RecordType::kIngestBatch: {
-            StreamResume &cur = st.resume[std::make_tuple(
-                rec.request_id, rec.node, rec.stream)];
-            if (rec.seq != cur.cumulative) {
-                result.error = lsnError(
-                    rec.lsn,
-                    "ingest watermark gap on stream " +
-                        std::to_string(rec.stream) + " (seq " +
-                        std::to_string(rec.seq) + ", cursor " +
-                        std::to_string(cur.cumulative) + ")");
-                return result;
-            }
-            if (cur.cumulative > 0 &&
-                cur.total_batches != rec.total_batches) {
-                result.error = lsnError(
-                    rec.lsn, "ingest stream extent changed mid-stream");
-                return result;
-            }
-            cur.total_batches = rec.total_batches;
-            cur.prefix.insert(cur.prefix.end(), rec.chunk.begin(),
-                              rec.chunk.end());
-            cur.cumulative += 1;
-            break;
-          }
-
           case RecordType::kPublish: {
             auto it = st.dump.requests.find(rec.request_id);
             if (it == st.dump.requests.end()) {
@@ -164,13 +137,6 @@ recover(const std::string &dir, metrics::Registry *registry)
                 st.dump.objects.push_back(std::move(obj));
             for (auto &row : fx.rows)
                 st.dump.rows.push_back(std::move(row));
-            // The request is durably complete: its ingest cursors are
-            // dead weight and must not seed a resumed stream.
-            auto cit = st.resume.lower_bound(std::make_tuple(
-                rec.request_id, std::numeric_limits<NodeId>::min(), 0));
-            while (cit != st.resume.end() &&
-                   std::get<0>(cit->first) == rec.request_id)
-                cit = st.resume.erase(cit);
             st.telemetry.replayed_publishes += 1;
             break;
           }

@@ -11,15 +11,14 @@
  *                 binary would derive (splitmix64 of cluster seed and
  *                 id) — a mismatch means replanning would diverge, so
  *                 recovery fails loudly — then applies the outcome
- *  - kIngestBatch advances that stream's resume cursor (contiguous
- *                 seq required) and extends its reassembled prefix
  *  - kPublish     applies the physical redo: report, objects, rows,
  *                 ledger delta; the request completes without re-run
  *
- * After replay, requests still kRunning were mid-flight at the crash:
- * they reset to kPending and re-plan from their logged seeds, which
- * reproduces the identical plan — so the recovered run's reports are
- * byte-identical to a crash-free execution.
+ * After replay, requests still kRunning were mid-flight at the crash
+ * (running sessions or collecting their results): they reset to
+ * kPending and re-plan from their logged seeds, which reproduces the
+ * identical plan, sessions and collection fabric — so the recovered
+ * run's reports are byte-identical to a crash-free execution.
  *
  * recover() never terminates the process on corrupt input: it returns
  * ok=false with the reason, which the corruption fuzz pins as the
@@ -42,10 +41,6 @@ namespace exist::durability {
 struct RecoveredState {
     ClusterMeta meta;
     ControlStateDump dump;
-    /** In-flight ingest cursors keyed (request, node, stream); feed
-     *  into Journal::setResume so agent streams skip re-shipping
-     *  already-consumed batches. */
-    CursorMap resume;
 
     struct Telemetry {
         std::uint64_t wal_records = 0;

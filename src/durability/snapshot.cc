@@ -125,45 +125,6 @@ getDump(net::ByteReader &r, ControlStateDump *out)
     return r.ok();
 }
 
-void
-putCursors(net::ByteWriter &w, const CursorMap &cursors)
-{
-    w.putVarint(cursors.size());
-    for (const auto &[key, cur] : cursors) {
-        w.putVarint(std::get<0>(key));
-        w.putSVarint(std::get<1>(key));
-        w.putVarint(std::get<2>(key));
-        w.putVarint(cur.total_batches);
-        w.putVarint(cur.cumulative);
-        w.putVarint(cur.prefix.size());
-        w.putBytes(cur.prefix.data(), cur.prefix.size());
-    }
-}
-
-bool
-getCursors(net::ByteReader &r, CursorMap *out)
-{
-    std::uint64_t n = r.getVarint();
-    if (!r.ok() || n > r.remaining())
-        return false;
-    for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-        std::uint64_t request = r.getVarint();
-        NodeId node = static_cast<NodeId>(r.getSVarint());
-        std::uint64_t stream = r.getVarint();
-        StreamResume cur;
-        cur.total_batches = r.getVarint();
-        cur.cumulative = r.getVarint();
-        std::uint64_t len = r.getVarint();
-        const std::uint8_t *p = r.getBytes(len);
-        if (p == nullptr)
-            return false;
-        cur.prefix.assign(p, p + len);
-        out->emplace(std::make_tuple(request, node, stream),
-                     std::move(cur));
-    }
-    return r.ok();
-}
-
 }  // namespace
 
 bool
@@ -175,7 +136,6 @@ writeSnapshot(const std::string &dir, const SnapshotState &state,
     putMeta(w, state.meta);
     w.putVarint(state.barrier_lsn);
     putDump(w, state.dump);
-    putCursors(w, state.cursors);
 
     std::vector<std::uint8_t> image;
     net::ByteWriter hw(&image);
@@ -281,8 +241,7 @@ loadNewestSnapshot(const std::string &dir)
             continue;
         }
         state.barrier_lsn = br.getVarint();
-        if (!getDump(br, &state.dump) ||
-            !getCursors(br, &state.cursors) || !br.ok() ||
+        if (!getDump(br, &state.dump) || !br.ok() ||
             br.remaining() != 0 || state.barrier_lsn != it->first) {
             load.error += path + ": bad body; ";
             continue;

@@ -2,16 +2,17 @@
  * @file
  * Versioned, checksummed snapshots of the control plane (DESIGN.md
  * §12): a full ControlStateDump (requests by phase, reports, coverage
- * ledger, store manifests) plus the cluster meta and any in-flight
- * ingest cursors, taken at a quiesced reconcile boundary. The
- * `barrier_lsn` is the WAL position the image covers: recovery loads
- * the newest valid snapshot and replays only records at or past the
- * barrier, so recovery latency is bounded by the snapshot interval,
- * not the experiment length.
+ * ledger, store manifests) plus the cluster meta, taken at a quiesced
+ * reconcile boundary. The `barrier_lsn` is the WAL position the image
+ * covers: recovery loads the newest valid snapshot and replays only
+ * records at or past the barrier, so recovery latency is bounded by
+ * the snapshot interval, not the experiment length.
  *
  * On-disk format: snap-<%016llx barrier_lsn>.img
- *   u32 magic "EXSN" | u8 version | u64 body_len | u64 fnv1a64(body)
- *   body: meta | barrier_lsn | ControlStateDump | cursors
+ *   u32 magic "EXSN" | u8 version (2) | u64 body_len | u64 fnv1a64(body)
+ *   body: meta | barrier_lsn | ControlStateDump
+ * Version 1 images also carried ingest cursors; they fail the header
+ * check, and with no valid image left recovery refuses the directory.
  *
  * Atomicity: the image is written to `<path>.tmp`, flushed, then
  * renamed — a crash mid-write leaves a `.tmp` recovery ignores. Two
@@ -23,9 +24,7 @@
 #define EXIST_DURABILITY_SNAPSHOT_H
 
 #include <cstdint>
-#include <map>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -35,20 +34,12 @@
 namespace exist::durability {
 
 inline constexpr std::uint32_t kSnapMagic = 0x4E535845;  // "EXSN"
-inline constexpr std::uint8_t kSnapVersion = 1;
-
-/** Ingest cursors keyed (request id, node, stream). Empty at the
- *  quiesced barriers the journal snapshots at; carried in the image
- *  format so a future mid-epoch snapshotter needs no format bump. */
-using CursorMap =
-    std::map<std::tuple<std::uint64_t, NodeId, std::uint64_t>,
-             StreamResume>;
+inline constexpr std::uint8_t kSnapVersion = 2;
 
 struct SnapshotState {
     ClusterMeta meta;
     std::uint64_t barrier_lsn = 1;
     ControlStateDump dump;
-    CursorMap cursors;
 };
 
 /**

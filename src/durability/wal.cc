@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <utility>
 
 #include "obs/trace_plane.h"
@@ -83,6 +84,9 @@ struct SegmentScan {
     std::uint64_t start_lsn = 0;
     std::vector<WalRecord> records;
     bool clean_end = false;  ///< file ended exactly on a record edge
+    /** Type byte of a record whose checksum holds but whose payload
+     *  does not decode; the scan stopped there. */
+    std::optional<std::uint8_t> undecodable;
     std::uint64_t bytes = 0;
 };
 
@@ -117,8 +121,12 @@ scanSegment(const std::string &path)
         if (net::fnv1a64(payload, len) != sum)
             return scan;  // bit rot
         WalRecord rec;
-        if (!decodeRecord(payload, len, &rec))
+        if (!decodeRecord(payload, len, &rec)) {
+            // A torn write cannot pass the checksum: this record was
+            // written whole by a binary that speaks another format.
+            scan.undecodable = payload[0];
             return scan;
+        }
         scan.records.push_back(std::move(rec));
     }
 }
@@ -132,7 +140,6 @@ recordTypeName(RecordType t)
       case RecordType::kMeta: return "meta";
       case RecordType::kAdmit: return "admit";
       case RecordType::kPlan: return "plan";
-      case RecordType::kIngestBatch: return "ingest-batch";
       case RecordType::kPublish: return "publish";
     }
     return "?";
@@ -320,15 +327,6 @@ encodeRecord(const WalRecord &rec)
         w.putU64(rec.plan_seed);
         w.putU8(rec.outcome);
         break;
-      case RecordType::kIngestBatch:
-        w.putVarint(rec.request_id);
-        w.putSVarint(rec.node);
-        w.putVarint(rec.stream);
-        w.putVarint(rec.seq);
-        w.putVarint(rec.total_batches);
-        w.putVarint(rec.chunk.size());
-        w.putBytes(rec.chunk.data(), rec.chunk.size());
-        break;
       case RecordType::kPublish:
         w.putVarint(rec.request_id);
         putEffects(w, rec.effects);
@@ -341,11 +339,7 @@ bool
 decodeRecord(const std::uint8_t *data, std::size_t size, WalRecord *out)
 {
     net::ByteReader r(data, size);
-    std::uint8_t type = r.getU8();
-    if (!r.ok() || type < 1 ||
-        type > static_cast<std::uint8_t>(RecordType::kPublish))
-        return false;
-    out->type = static_cast<RecordType>(type);
+    out->type = static_cast<RecordType>(r.getU8());
     out->lsn = r.getVarint();
     switch (out->type) {
       case RecordType::kMeta:
@@ -361,24 +355,13 @@ decodeRecord(const std::uint8_t *data, std::size_t size, WalRecord *out)
         out->plan_seed = r.getU64();
         out->outcome = r.getU8();
         break;
-      case RecordType::kIngestBatch: {
-        out->request_id = r.getVarint();
-        out->node = static_cast<NodeId>(r.getSVarint());
-        out->stream = r.getVarint();
-        out->seq = r.getVarint();
-        out->total_batches = r.getVarint();
-        std::uint64_t len = r.getVarint();
-        const std::uint8_t *p = r.getBytes(len);
-        if (p == nullptr)
-            return false;
-        out->chunk.assign(p, p + len);
-        break;
-      }
       case RecordType::kPublish:
         out->request_id = r.getVarint();
         if (!getEffects(r, &out->effects))
             return false;
         break;
+      default:
+        return false;  // no such type (4 is retired)
     }
     return r.ok();
 }
@@ -583,6 +566,16 @@ Wal::replay(const std::string &dir, std::uint64_t from_lsn)
                 continue;  // below the barrier, or a duplicate
             res.records.push_back(std::move(rec));
             expected += 1;
+        }
+        if (scan.undecodable) {
+            res.error = "wal record lsn " +
+                        std::to_string(scan.start_lsn +
+                                       scan.records.size()) +
+                        " in " + segments[i] +
+                        ": checksum holds but type " +
+                        std::to_string(*scan.undecodable) +
+                        " does not decode";
+            return res;
         }
         if (!scan.clean_end) {
             if (last) {

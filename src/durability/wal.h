@@ -14,12 +14,13 @@
  *                 a mismatch means the recovering binary would plan
  *                 differently, which must fail loudly, not diverge),
  *                 and the phase outcome
- *   kIngestBatch  ingest watermark: one in-order-consumed batch
- *                 (request, node, stream, seq, chunk bytes) — the
- *                 cursor agent streams resume from
  *   kPublish      physical redo of one publish: the full report, OSS
  *                 objects, ODPS rows and coverage-ledger delta, so a
  *                 completed request is never re-run after recovery
+ *
+ * Decisions and results only: nothing of a request's collection run
+ * is logged, so a request that crashed before its publish is
+ * re-planned and collected again from scratch.
  *
  * On-disk format (all integers little-endian / LEB128 via net/wire.h):
  *
@@ -35,8 +36,11 @@
  * kernel accepted — so every acknowledged append survives the crash.
  *
  * Replay rules (the loud-failure contract the corruption fuzz pins):
- *   - a record that fails framing/checksum/parse *in the last
- *     segment* is a torn tail: replay stops cleanly before it;
+ *   - a record that fails framing or checksum *in the last segment*
+ *     is a torn tail: replay stops cleanly before it;
+ *   - a record whose checksum holds but whose payload does not decode
+ *     (an unknown type, such as the retired type 4, or a malformed
+ *     body) is never a torn write -> hard error naming its LSN;
  *   - the same mid-log is tolerated only if the next segment resumes
  *     at or below the expected LSN (the crash-then-reopen layout);
  *     otherwise records are missing -> hard error;
@@ -83,11 +87,12 @@ struct ClusterMeta {
     bool operator==(const ClusterMeta &) const = default;
 };
 
+/** On-disk type bytes. 4 was the ingest watermark of older versions;
+ *  it decodes as nothing, so a log that holds one fails replay. */
 enum class RecordType : std::uint8_t {
     kMeta = 1,
     kAdmit = 2,
     kPlan = 3,
-    kIngestBatch = 4,
     kPublish = 5,
 };
 
@@ -110,15 +115,10 @@ struct WalRecord {
     RecordType type = RecordType::kMeta;
 
     ClusterMeta meta;             // kMeta
-    std::uint64_t request_id = 0; // kAdmit/kPlan/kIngestBatch/kPublish
+    std::uint64_t request_id = 0; // kAdmit/kPlan/kPublish
     std::string manifest;         // kAdmit
     std::uint64_t plan_seed = 0;  // kPlan
     std::uint8_t outcome = 0;     // kPlan (RequestPhase)
-    NodeId node = kInvalidId;     // kIngestBatch
-    std::uint64_t stream = 0;     // kIngestBatch
-    std::uint64_t seq = 0;        // kIngestBatch
-    std::uint64_t total_batches = 0;       // kIngestBatch
-    std::vector<std::uint8_t> chunk;       // kIngestBatch
     PublishEffects effects;       // kPublish
 };
 

@@ -137,7 +137,6 @@ EtmPacketWriter::address(std::uint64_t ip, Cycles now)
     flushAtoms(now);
     cycleCount(now);
     emitAddress(EtmOp::kAddrLong /*plain*/, ip);
-    ++addr_packets_;
     current_ip_ = ip;
 }
 

@@ -76,7 +76,6 @@ class EtmPacketWriter
     void flushAtoms(Cycles now);
 
     std::uint64_t atomPackets() const { return atom_packets_; }
-    std::uint64_t addressPackets() const { return addr_packets_; }
 
   private:
     void emit(const std::uint8_t *bytes, std::size_t n);
@@ -93,7 +92,6 @@ class EtmPacketWriter
     std::uint64_t bytes_since_sync_ = 0;
     bool in_sync_ = false;
     std::uint64_t atom_packets_ = 0;
-    std::uint64_t addr_packets_ = 0;
 };
 
 /**

@@ -1,22 +1,13 @@
 #include "hwtrace/msr.h"
 
-#include <atomic>
-
 #include "util/logging.h"
 
 namespace exist {
-
-namespace {
-// Atomic: sessions may run concurrently on pool workers (parallel
-// cluster reconcile), and each simulated WRMSR lands here.
-std::atomic<std::uint64_t> g_global_writes{0};
-}  // namespace
 
 MsrAccessResult
 MsrFile::write(RtitMsr msr, std::uint64_t value)
 {
     ++write_count_;
-    ++g_global_writes;
 
     switch (msr) {
       case RtitMsr::kCtl: {
@@ -81,18 +72,6 @@ MsrFile::setStopped(bool stopped)
         status_ |= rtit_status::kStopped;
     else
         status_ &= ~rtit_status::kStopped;
-}
-
-std::uint64_t
-MsrFile::globalWriteCount()
-{
-    return g_global_writes;
-}
-
-void
-MsrFile::resetGlobalWriteCount()
-{
-    g_global_writes = 0;
 }
 
 }  // namespace exist

@@ -71,7 +71,6 @@ class MsrFile
     MsrAccessResult readCosted(RtitMsr msr, std::uint64_t &value) const;
 
     bool traceEnabled() const { return ctl_ & rtit_ctl::kTraceEn; }
-    bool cycEnabled() const { return ctl_ & rtit_ctl::kCycEn; }
     bool cr3FilterEnabled() const { return ctl_ & rtit_ctl::kCr3Filter; }
     bool branchEnabled() const { return ctl_ & rtit_ctl::kBranchEn; }
     bool userTracing() const { return ctl_ & rtit_ctl::kUser; }
@@ -83,10 +82,6 @@ class MsrFile
     bool stopped() const { return status_ & rtit_status::kStopped; }
 
     std::uint64_t writeCount() const { return write_count_; }
-
-    /** Global counter of all RTIT WRMSRs in the process, for reports. */
-    static std::uint64_t globalWriteCount();
-    static void resetGlobalWriteCount();
 
   private:
     std::uint64_t ctl_ = 0;

@@ -17,7 +17,7 @@ TopaBuffer::configure(std::vector<TopaEntry> entries, bool ring)
         EXIST_ASSERT(e.size_bytes > 0, "zero-sized ToPA region");
         capacity_ += e.size_bytes;
     }
-    store_.assign(capacity_, 0);
+    store_ = std::make_unique_for_overwrite<std::uint8_t[]>(capacity_);
     reset();
 }
 
@@ -49,7 +49,7 @@ TopaBuffer::write(const std::uint8_t *data, std::uint64_t n)
         const TopaEntry &e = entries_[region_];
         std::uint64_t room = e.size_bytes - region_fill_;
         std::uint64_t take = room < n ? room : n;
-        std::memcpy(store_.data() + cursor_, data, take);
+        std::memcpy(store_.get() + cursor_, data, take);
         cursor_ += take;
         region_fill_ += take;
         bytes_accepted_ += take;
@@ -83,27 +83,28 @@ TopaBuffer::write(const std::uint8_t *data, std::uint64_t n)
 }
 
 std::uint64_t
-TopaBuffer::drainTo(std::vector<std::uint8_t> &out)
+TopaBuffer::copyTo(std::vector<std::uint8_t> &out) const
 {
-    std::uint64_t n;
+    const std::uint8_t *store = store_.get();
     // Layout depends on wraps *since the previous drain* (wraps_, the
     // epoch counter), not the cumulative count: a buffer that wrapped
     // before an earlier drain but not since holds only cursor_ fresh
     // bytes, and replaying the full capacity here would hand the
     // consumer a stale copy of already-drained data.
     if (wraps_ == 0) {
-        n = cursor_;
-        out.insert(out.end(), store_.begin(),
-                   store_.begin() + static_cast<std::ptrdiff_t>(cursor_));
-    } else {
-        // Oldest data starts at cursor_ (already overwritten before it).
-        n = capacity_;
-        out.insert(out.end(),
-                   store_.begin() + static_cast<std::ptrdiff_t>(cursor_),
-                   store_.end());
-        out.insert(out.end(), store_.begin(),
-                   store_.begin() + static_cast<std::ptrdiff_t>(cursor_));
+        out.insert(out.end(), store, store + cursor_);
+        return cursor_;
     }
+    // Oldest data starts at cursor_ (already overwritten before it).
+    out.insert(out.end(), store + cursor_, store + capacity_);
+    out.insert(out.end(), store, store + cursor_);
+    return capacity_;
+}
+
+std::uint64_t
+TopaBuffer::drainTo(std::vector<std::uint8_t> &out)
+{
+    std::uint64_t n = copyTo(out);
     std::uint64_t accepted = bytes_accepted_;
     std::uint64_t dropped = bytes_dropped_;
     std::uint64_t wraps_total = wraps_base_ + wraps_;

@@ -12,6 +12,8 @@
 #define EXIST_HWTRACE_TOPA_H
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "util/types.h"
@@ -36,6 +38,8 @@ struct TopaWriteResult {
 /**
  * The output buffer backing a ToPA chain. Content is stored linearly in
  * the order regions appear in the table; ring wrap resets the cursor.
+ * The store is allocated uninitialized, as hardware output memory is:
+ * only bytes the tracer wrote are ever read back.
  */
 class TopaBuffer
 {
@@ -61,20 +65,30 @@ class TopaBuffer
     /** Cumulative ring wraps, surviving drains (a statistic). */
     std::uint64_t wraps() const { return wraps_base_ + wraps_; }
     /** Whether the store wrapped since the last reset/drain — i.e.
-     *  whether data()/wrapOffset() need oldest-first reordering. */
+     *  whether the content needs oldest-first reordering. */
     bool hasWrapped() const { return wraps_ != 0; }
 
     /**
-     * Stored content. For ring buffers that wrapped, the valid data is
-     * the last capacity() bytes written; wrapOffset() marks the logical
-     * start (oldest byte) within data().
+     * The raw store, capacity() bytes in region order. Until the
+     * first wrap or drain, the content is its first bytesAccepted()
+     * bytes, and the rest was never written; copyTo() handles every
+     * layout.
      */
-    const std::vector<std::uint8_t> &data() const { return store_; }
-    std::uint64_t wrapOffset() const { return wraps_ ? cursor_ : 0; }
+    std::span<const std::uint8_t> data() const
+    {
+        return {store_.get(), capacity_};
+    }
 
     /**
-     * Drain the content into `out` and reset the fill state. Used by
-     * the NHT baseline's PMI handler (perf copying the aux buffer out).
+     * Append the content to `out`, oldest byte first (for a ring that
+     * wrapped, the last capacity() bytes written), leaving the fill
+     * state alone. Returns the bytes appended.
+     */
+    std::uint64_t copyTo(std::vector<std::uint8_t> &out) const;
+
+    /**
+     * copyTo(), then reset the fill state. Used by the NHT baseline's
+     * PMI handler (perf copying the aux buffer out).
      */
     std::uint64_t drainTo(std::vector<std::uint8_t> &out);
 
@@ -83,7 +97,7 @@ class TopaBuffer
     bool ring_ = false;
     std::uint64_t capacity_ = 0;
 
-    std::vector<std::uint8_t> store_;
+    std::unique_ptr<std::uint8_t[]> store_;
     std::uint64_t cursor_ = 0;        ///< next write offset in store_
     std::size_t region_ = 0;          ///< current table entry
     std::uint64_t region_fill_ = 0;   ///< bytes into current region

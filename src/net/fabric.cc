@@ -61,13 +61,6 @@ Fabric::linkFor(NodeId src, NodeId dst)
     return it->second;
 }
 
-std::size_t
-Fabric::ingressDepth(NodeId node) const
-{
-    auto it = endpoints_.find(node);
-    return it == endpoints_.end() ? 0 : it->second.ingress_depth;
-}
-
 void
 Fabric::logEvent(Cycles at, WireEvent::Kind kind, NodeId src,
                  NodeId dst, std::uint64_t frame_id, std::size_t bytes)
@@ -151,13 +144,10 @@ Fabric::scheduleDelivery(NodeId src, NodeId dst, Cycles depart,
                          Cycles arrive, std::uint64_t frame_id,
                          std::vector<std::uint8_t> frame)
 {
-    Endpoint &ep = endpoints_[dst];
-    ep.ingress_depth += 1;
     queue_->schedule(
         arrive, [this, src, dst, depart, arrive, frame_id,
                  frame = std::move(frame)]() {
             Endpoint &dep = endpoints_[dst];
-            dep.ingress_depth -= 1;
             stats_.frames_delivered += 1;
             stats_.delivery_us.push_back(
                 cyclesToSeconds(arrive - depart) * 1e6);

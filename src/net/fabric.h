@@ -108,9 +108,6 @@ class Fabric
 
     const NetSpec &spec() const { return spec_; }
     const FabricStats &stats() const { return stats_; }
-    /** Depth of a node's ingress queue (frames scheduled, not yet
-     *  delivered). */
-    std::size_t ingressDepth(NodeId node) const;
 
     /** Render the wire log one event per line (regression compare). */
     std::string wireLogText() const;
@@ -127,7 +124,6 @@ class Fabric
     struct Endpoint {
         DeliverFn deliver;
         Cycles egress_busy_until = 0;  ///< NIC serialization horizon
-        std::size_t ingress_depth = 0;
     };
 
     Link &linkFor(NodeId src, NodeId dst);

@@ -154,7 +154,6 @@ class Kernel
     {
         return cores_[c].kernel_cycles;
     }
-    int busyCoreCount() const { return busy_cores_; }
     /** Whether a thread of `pid` is currently running on core c. */
     Thread *runningOn(CoreId c) const { return cores_[c].current; }
 

@@ -73,10 +73,6 @@ class Process
         return 0x1000000ull + static_cast<std::uint64_t>(pid_) * 0x2000;
     }
     const ProgramBinary &binary() const { return *binary_; }
-    std::shared_ptr<const ProgramBinary> binaryRef() const
-    {
-        return binary_;
-    }
     const AppProfile &profile() const { return binary_->profile(); }
     const std::vector<CoreId> &allowedCores() const
     {

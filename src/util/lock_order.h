@@ -50,8 +50,9 @@ enum class LockRank : int {
     kIngest = 35,      ///< cluster/ingest reassembly + dedup state
     kShard = 40,       ///< ShardedMaster per-shard API-server state
     kWal = 45,         ///< durability WAL appender (taken inside
-                       ///< commit actions and shard/ingest callbacks,
-                       ///< before any store/metrics acquire)
+                       ///< commit actions and the shard lanes' admit
+                       ///< and plan hooks, before any store/metrics
+                       ///< acquire)
     kStore = 50,       ///< the OSS and ODPS store locks (written in
                        ///< commit actions, read from any thread)
     kMetrics = 60,     ///< metrics registry stripe locks

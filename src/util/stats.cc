@@ -1,8 +1,6 @@
 #include "util/stats.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 
 #include "util/logging.h"
 
@@ -86,24 +84,6 @@ Cdf::quantile(double q) const
     auto idx = static_cast<std::size_t>(
         q * static_cast<double>(sorted_.size() - 1));
     return sorted_[idx];
-}
-
-std::string
-Cdf::toTable(double lo, double hi, int points) const
-{
-    EXIST_ASSERT(lo > 0.0 && hi > lo && points > 1, "bad CDF grid");
-    std::string out;
-    double log_lo = std::log10(lo);
-    double log_hi = std::log10(hi);
-    for (int i = 0; i < points; ++i) {
-        double x = std::pow(
-            10.0, log_lo + (log_hi - log_lo) * i /
-                      static_cast<double>(points - 1));
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), "%12.6g %8.4f\n", x, at(x));
-        out += buf;
-    }
-    return out;
 }
 
 }  // namespace exist

@@ -7,7 +7,6 @@
 #define EXIST_UTIL_STATS_H
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace exist {
@@ -57,9 +56,6 @@ class Cdf
     double quantile(double q) const;
 
     std::size_t count() const { return sorted_.size(); }
-
-    /** Render as "x f(x)" rows over a log-spaced grid (for plotting). */
-    std::string toTable(double lo, double hi, int points) const;
 
   private:
     std::vector<double> sorted_;

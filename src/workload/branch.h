@@ -28,21 +28,6 @@ enum class BranchKind : std::uint8_t {
     kSyscall,       ///< control enters the kernel; PIP/MODE boundary
 };
 
-inline const char *
-branchKindName(BranchKind k)
-{
-    switch (k) {
-      case BranchKind::kConditional: return "cond";
-      case BranchKind::kDirectJump: return "jmp";
-      case BranchKind::kDirectCall: return "call";
-      case BranchKind::kIndirectJump: return "ijmp";
-      case BranchKind::kIndirectCall: return "icall";
-      case BranchKind::kReturn: return "ret";
-      case BranchKind::kSyscall: return "syscall";
-    }
-    return "?";
-}
-
 /** One retired control transfer, as seen by tracer and ground truth. */
 struct BranchRecord {
     std::uint32_t source_block;  ///< global block index of the source

@@ -134,15 +134,15 @@ TEST(WalTest, AppendReplayRoundTripAcrossSegments)
         plan.outcome =
             static_cast<std::uint8_t>(RequestPhase::kRunning);
         EXPECT_EQ(wal.append(plan), 3u);
-        WalRecord batch;
-        batch.type = RecordType::kIngestBatch;
-        batch.request_id = 1;
-        batch.node = 2;
-        batch.stream = 1;
-        batch.seq = 5;
-        batch.total_batches = 9;
-        batch.chunk = {0xde, 0xad, 0xbe, 0xef};
-        EXPECT_EQ(wal.append(batch), 4u);
+        WalRecord publish;
+        publish.type = RecordType::kPublish;
+        publish.request_id = 1;
+        publish.effects.report.request_id = 1;
+        publish.effects.report.app = "Cache";
+        publish.effects.objects = {{"traces/1/n2", {0xde, 0xad}}};
+        publish.effects.ledger.app = "Cache";
+        publish.effects.ledger.trace_bytes = 2;
+        EXPECT_EQ(wal.append(publish), 4u);
         EXPECT_EQ(wal.nextLsn(), 5u);
     }
     EXPECT_GT(Wal::listSegments(dir.string()).size(), 1u);
@@ -158,10 +158,12 @@ TEST(WalTest, AppendReplayRoundTripAcrossSegments)
     EXPECT_EQ(rr.records[1].manifest,
               "app=Cache anomaly=true budget_mb=64");
     EXPECT_EQ(rr.records[2].plan_seed, 0xfeedbeefULL);
-    EXPECT_EQ(rr.records[3].seq, 5u);
-    EXPECT_EQ(rr.records[3].total_batches, 9u);
-    EXPECT_EQ(rr.records[3].chunk,
-              (std::vector<std::uint8_t>{0xde, 0xad, 0xbe, 0xef}));
+    EXPECT_EQ(rr.records[3].type, RecordType::kPublish);
+    EXPECT_EQ(rr.records[3].effects.report.app, "Cache");
+    EXPECT_EQ(rr.records[3].effects.objects,
+              (std::vector<std::pair<std::string, std::vector<std::uint8_t>>>{
+                  {"traces/1/n2", {0xde, 0xad}}}));
+    EXPECT_EQ(rr.records[3].effects.ledger.trace_bytes, 2u);
 
     // Replay from a mid-log LSN returns only the tail.
     Wal::ReplayResult tail = Wal::replay(dir.string(), 3);
@@ -254,6 +256,66 @@ TEST(WalTest, DuplicateRecordsAreSkipped)
     fs::remove_all(dir);
 }
 
+TEST(WalTest, RetiredIngestRecordFailsReplayAtItsLsn)
+{
+    // Older versions logged every consumed agent batch as a type-4
+    // record. Its checksum holds, so it is no torn write: replay must
+    // fail at it and name its LSN, not stop there and silently drop
+    // the publish behind it.
+    fs::path dir = freshDir("type4");
+    {
+        Wal wal(Wal::Config{dir.string()});
+        WalRecord meta;
+        meta.type = RecordType::kMeta;
+        meta.meta.num_nodes = 4;
+        meta.meta.cores_per_node = 2;
+        meta.meta.shards = 1;
+        meta.meta.deployments = {{"Cache", 3}};
+        wal.append(meta);
+        wal.append(admitRecord(1, "app=Cache budget_mb=64 net=true"));
+    }
+    // The older body: request, node, stream, seq, total batches, chunk.
+    std::vector<std::uint8_t> ingest;
+    net::ByteWriter body(&ingest);
+    body.putU8(4);
+    body.putVarint(3);  // lsn
+    body.putVarint(1);
+    body.putSVarint(0);
+    body.putVarint(0);
+    body.putVarint(0);
+    body.putVarint(1);
+    body.putVarint(2);
+    body.putU8(0xab);
+    body.putU8(0xcd);
+    WalRecord publish;
+    publish.type = RecordType::kPublish;
+    publish.lsn = 4;
+    publish.request_id = 1;
+    publish.effects.report.request_id = 1;
+    publish.effects.report.app = "Cache";
+    std::vector<std::uint8_t> frames;
+    net::ByteWriter w(&frames);
+    for (const std::vector<std::uint8_t> &payload :
+         {ingest, encodeRecord(publish)}) {
+        w.putU32(static_cast<std::uint32_t>(payload.size()));
+        w.putU64(net::fnv1a64(payload.data(), payload.size()));
+        w.putBytes(payload.data(), payload.size());
+    }
+    std::vector<std::string> segs = Wal::listSegments(dir.string());
+    ASSERT_EQ(segs.size(), 1u);
+    std::vector<std::uint8_t> seg = readFile(segs[0]);
+    seg.insert(seg.end(), frames.begin(), frames.end());
+    writeFile(segs[0], seg);
+
+    Wal::ReplayResult rr = Wal::replay(dir.string(), 1);
+    EXPECT_FALSE(rr.ok);
+    EXPECT_NE(rr.error.find("lsn 3 "), std::string::npos) << rr.error;
+    RecoveryResult rec = recover(dir.string());
+    EXPECT_FALSE(rec.ok);
+    EXPECT_NE(rec.error.find("lsn 3 "), std::string::npos) << rec.error;
+    fs::remove_all(dir);
+}
+
 // ---------------------------------------------------------------
 // Snapshot unit tests
 // ---------------------------------------------------------------
@@ -278,11 +340,6 @@ demoSnapshot(std::uint64_t barrier)
     req.phase = RequestPhase::kCompleted;
     st.dump.requests[1] = req;
     st.dump.objects = {{"traces/1/a", {1, 2, 3}}};
-    StreamResume cur;
-    cur.total_batches = 7;
-    cur.cumulative = 2;
-    cur.prefix = {9, 9};
-    st.cursors[{2, NodeId{1}, 0}] = cur;
     return st;
 }
 
@@ -312,9 +369,6 @@ TEST(SnapshotTest, RoundTripAndPrune)
     EXPECT_EQ(load.state.dump.requests.at(1).phase,
               RequestPhase::kCompleted);
     EXPECT_EQ(load.state.dump.objects, demoSnapshot(14).dump.objects);
-    ASSERT_EQ(load.state.cursors.size(), 1u);
-    EXPECT_EQ(load.state.cursors.begin()->second.prefix,
-              (std::vector<std::uint8_t>{9, 9}));
     fs::remove_all(dir);
 }
 
@@ -336,6 +390,31 @@ TEST(SnapshotTest, CorruptNewestFallsBackToOlder)
     ASSERT_TRUE(load.ok) << load.error;
     EXPECT_EQ(load.state.barrier_lsn, 5u);
     EXPECT_FALSE(load.error.empty());  // the skip reason is recorded
+    fs::remove_all(dir);
+}
+
+TEST(SnapshotTest, VersionOneImageIsRefused)
+{
+    // Version-1 images also carried ingest cursors, which this format
+    // dropped: the header check rejects them, and a directory whose
+    // only image is one does not recover.
+    fs::path dir = freshDir("snapv1");
+    std::string error;
+    ASSERT_TRUE(writeSnapshot(dir.string(), demoSnapshot(5), &error))
+        << error;
+    auto snaps = listSnapshots(dir.string());
+    ASSERT_EQ(snaps.size(), 1u);
+    std::vector<std::uint8_t> img = readFile(snaps[0].second);
+    img[4] = 1;  // the version byte, after the u32 magic
+    writeFile(snaps[0].second, img);
+
+    SnapshotLoad load = loadNewestSnapshot(dir.string());
+    EXPECT_TRUE(load.found);
+    EXPECT_FALSE(load.ok);
+    RecoveryResult rec = recover(dir.string());
+    EXPECT_FALSE(rec.ok);
+    EXPECT_NE(rec.error.find("no valid snapshot"), std::string::npos)
+        << rec.error;
     fs::remove_all(dir);
 }
 
@@ -403,6 +482,9 @@ struct RunConfig {
     int shards = 1;
     bool net = false;
     std::uint64_t snapshot_interval = 0;  ///< 0 = never snapshot
+    /** Fabric drop rate of net runs. At 0.8 most streams spill, so
+     *  the report depends on every frame the agents send. */
+    double loss = 0;
 };
 
 constexpr char kApp[] = "Cache";
@@ -425,6 +507,8 @@ demoManifests(const RunConfig &cfg)
     std::string extra;
     if (cfg.net)
         extra += " net=true";
+    if (cfg.loss > 0)
+        extra += " loss=" + std::to_string(cfg.loss);
     return {
         "app=Cache anomaly=true period_ms=12 budget_mb=64" + extra,
         "app=Cache period_ms=10 budget_mb=64" + extra,
@@ -576,7 +660,6 @@ recoverAndFinish(const RunConfig &cfg, const fs::path &dir)
     for (const auto &[app, replicas] : st.meta.deployments)
         cluster.deploy(app, replicas);
     Journal journal(specFor(cfg, dir), st.meta);
-    journal.setResume(st.resume);
 
     std::vector<std::string> ms = demoManifests(cfg);
     // Admissions are durable before the id is acknowledged, so the
@@ -619,7 +702,8 @@ crashRecoverCompare(const RunConfig &cfg, const std::string &spec,
 TEST(RecoveryMatrixTest, BatchCombos)
 {
     // shards x collection transport; one representative crash point
-    // each (ingest-frame only exists on the net path).
+    // each (on the net path, post-plan stands for every crash between
+    // a request's plan and its publish: all of them re-run it).
     {
         RunConfig cfg{/*shards=*/1, /*net=*/false,
                       /*snapshot_interval=*/0};
@@ -634,7 +718,7 @@ TEST(RecoveryMatrixTest, BatchCombos)
     {
         RunConfig cfg{1, true, 0};
         Artifacts want = golden(cfg);
-        crashRecoverCompare(cfg, "ingest-frame:3", want, "b1n");
+        crashRecoverCompare(cfg, "post-plan:3", want, "b1n");
     }
     {
         RunConfig cfg{4, true, 0};
@@ -645,16 +729,19 @@ TEST(RecoveryMatrixTest, BatchCombos)
 
 TEST(RecoveryMatrixTest, EveryNamedPointShardedNet)
 {
-    // The heavy combo crosses all six named points (snapshots due
-    // every 2 publishes). Each one must recover byte-identically.
-    RunConfig cfg{4, true, /*snapshot_interval=*/2};
-    Artifacts want = golden(cfg);
-    int i = 0;
-    for (const char *point :
-         {"admit:2", "post-plan:2", "ingest-frame:4", "pre-store:2",
-          "mid-snapshot", "post-snapshot"})
-        crashRecoverCompare(cfg, point, want,
-                            "named" + std::to_string(i++));
+    // The heavy combo crosses all five named points (snapshots due
+    // every 2 publishes), on a clean fabric and on one that drops 80%
+    // of frames. Each one must recover byte-identically.
+    for (double loss : {0.0, 0.8}) {
+        SCOPED_TRACE("loss=" + std::to_string(loss));
+        RunConfig cfg{4, true, /*snapshot_interval=*/2, loss};
+        Artifacts want = golden(cfg);
+        int i = 0;
+        for (const char *point : {"admit:2", "post-plan:2", "pre-store:2",
+                                  "mid-snapshot", "post-snapshot"})
+            crashRecoverCompare(cfg, point, want,
+                                "named" + std::to_string(i++));
+    }
 }
 
 TEST(RecoveryMatrixTest, ZeroShardLogFromOlderVersionRecovers)
@@ -664,30 +751,33 @@ TEST(RecoveryMatrixTest, ZeroShardLogFromOlderVersionRecovers)
     RunConfig cfg{/*shards=*/0, true, 0};
     Artifacts want = golden(cfg);
     crashRecoverCompare(cfg, "pre-store:2", want, "zero");
-    crashRecoverCompare(cfg, "ingest-frame:2", want, "zero2");
+    crashRecoverCompare(cfg, "post-plan:2", want, "zero2");
 }
 
 TEST(RecoveryMatrixTest, RandomizedEventQueueSteps)
 {
     // The randomized mode: measure the crash-step space S with a
     // crash-free journaled run, then kill the master at >= 8
-    // uniformly drawn journal-order boundaries. Every draw must
-    // recover byte-identically.
-    RunConfig cfg{4, true, /*snapshot_interval=*/2};
-    Artifacts want = golden(cfg);
+    // uniformly drawn journal-order boundaries, on a clean and on a
+    // lossy fabric. Every draw must recover byte-identically.
+    for (double loss : {0.0, 0.8}) {
+        SCOPED_TRACE("loss=" + std::to_string(loss));
+        RunConfig cfg{4, true, /*snapshot_interval=*/2, loss};
+        Artifacts want = golden(cfg);
 
-    fs::path probe = freshDir("stepspace");
-    crashpoint::resetSteps();
-    ASSERT_FALSE(journaledRun(cfg, probe));
-    std::uint64_t space = crashpoint::steps();
-    fs::remove_all(probe);
-    ASSERT_GE(space, 8u) << "step space too small to randomize";
+        fs::path probe = freshDir("stepspace");
+        crashpoint::resetSteps();
+        ASSERT_FALSE(journaledRun(cfg, probe));
+        std::uint64_t space = crashpoint::steps();
+        fs::remove_all(probe);
+        ASSERT_GE(space, 8u) << "step space too small to randomize";
 
-    Rng rng(0x5eed5eedULL);
-    for (int i = 0; i < 8; ++i) {
-        std::uint64_t n = 1 + rng.uniformInt(space);
-        crashRecoverCompare(cfg, "step:" + std::to_string(n), want,
-                            "step" + std::to_string(i));
+        Rng rng(0x5eed5eedULL);
+        for (int i = 0; i < 8; ++i) {
+            std::uint64_t n = 1 + rng.uniformInt(space);
+            crashRecoverCompare(cfg, "step:" + std::to_string(n), want,
+                                "step" + std::to_string(i));
+        }
     }
 }
 

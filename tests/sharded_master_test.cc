@@ -342,7 +342,6 @@ class PublishRecorder : public ControlJournal
   public:
     void onAdmit(const TraceRequest &) override {}
     void onPlanned(std::uint64_t, RequestPhase) override {}
-    CollectHooks collectHooks(std::uint64_t) override { return {}; }
     void
     onPublish(std::uint64_t id, const PublishEffects &) override
     {

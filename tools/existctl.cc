@@ -54,15 +54,16 @@
  *       lane without --shards, N with) journals every mutation into
  *       DIR's write-ahead log and snapshots every K publishes.
  *       --crash-at arms a named crash point ("admit", "post-plan",
- *       "ingest-frame", "pre-store", "mid-snapshot", "post-snapshot",
- *       optionally ":n" for the nth crossing, or "step:N") — the
- *       process dies there with exit code 42, leaving only the WAL.
+ *       "pre-store", "mid-snapshot", "post-snapshot", optionally ":n"
+ *       for the nth crossing, or "step:N") — the process dies there
+ *       with exit code 42, leaving only the WAL.
  *
  *   existctl recover DIR [--threads N]
  *       Recover the control plane from DIR: load the newest valid
- *       snapshot, replay the WAL tail, re-plan whatever was in
- *       flight, and print the reports — byte-identical on stdout to
- *       the crash-free trace run. Recovery telemetry goes to stderr.
+ *       snapshot, replay the WAL tail, re-plan and re-run (sessions
+ *       and --net collection) whatever was in flight, and print the
+ *       reports — byte-identical on stdout to the crash-free trace
+ *       run. Recovery telemetry goes to stderr.
  *
  *   existctl top [<manifest>...] [--shards N] [--threads N]
  *                [--iterations N] [--interval-ms M]
@@ -224,15 +225,18 @@ intArg(const std::string &flag, const char *text, int min)
 std::string
 crashAtArg(const char *text)
 {
-    const char *const points[] = {"admit",        "post-plan",
-                                  "ingest-frame", "pre-store",
-                                  "mid-snapshot", "post-snapshot",
-                                  "step"};
+    const auto &points = durability::crashpoint::kNames;
     std::string spec = text;
     std::size_t colon = spec.rfind(':');
-    if (std::find(std::begin(points), std::end(points),
-                  spec.substr(0, colon)) == std::end(points))
-        badValue("--crash-at", text, "a crash point name[:k]");
+    std::string name = spec.substr(0, colon);
+    if (name != "step" &&
+        std::find(points.begin(), points.end(), name) == points.end()) {
+        std::string want = "a crash point (";
+        for (std::string_view point : points)
+            want += std::string(point) + ", ";
+        badValue("--crash-at", text,
+                 (want + "or step), optionally :k").c_str());
+    }
     if (colon != std::string::npos)
         intArg("--crash-at", text + colon + 1, 1);
     return spec;
@@ -390,7 +394,6 @@ cmdRecover(int argc, char **argv)
     dspec.snapshot_interval = st.meta.snapshot_interval;
     durability::Journal journal(dspec, st.meta,
                                 &metrics::Registry::global());
-    journal.setResume(st.resume);
 
     std::vector<std::uint64_t> ids;
     for (const auto &[id, req] : st.dump.requests)
