@@ -85,10 +85,12 @@ main()
         256.0 * 1024.0 * periodScale());
     if (target_bytes < 64 * 1024)
         target_bytes = 64 * 1024;
+    auto encodedBytes = [&baseline] {
+        ExperimentResult copy = baseline;
+        return SessionPayload::take(&copy, "Cache").encode().size();
+    };
     Rng pad_rng(42);
-    while (SessionPayload::fromResult(baseline, "Cache")
-               .encode()
-               .size() < target_bytes) {
+    while (encodedBytes() < target_bytes) {
         CollectedTrace t;
         t.core = static_cast<CoreId>(baseline.raw_traces.size() % 4);
         t.bytes.resize(16 * 1024);
@@ -96,8 +98,7 @@ main()
             b = static_cast<std::uint8_t>(pad_rng.next());
         baseline.raw_traces.push_back(std::move(t));
     }
-    std::uint64_t payload_bytes =
-        SessionPayload::fromResult(baseline, "Cache").encode().size();
+    std::uint64_t payload_bytes = encodedBytes();
 
     int iters = static_cast<int>(20.0 * periodScale() + 0.5);
     if (iters < 2)

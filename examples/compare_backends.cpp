@@ -33,7 +33,7 @@ main()
     oracle_spec.backend = "Oracle";
     ExperimentResult oracle = Testbed::run(oracle_spec);
 
-    for (const std::string &backend :
+    for (const std::string backend :
          {"Oracle", "EXIST", "StaSam", "eBPF", "NHT"}) {
         ExperimentSpec spec = base;
         spec.backend = backend;

@@ -21,26 +21,23 @@ batchCorr(NodeId node, std::uint64_t stream, std::uint64_t seq)
         stream, seq);
 }
 
+/** Retransmit timeout after `retries` expiries: kRtoInitialUs doubled
+ *  per retry, capped at kRtoMaxUs. */
+Cycles
+rtoAfter(int retries)
+{
+    double rto = kRtoInitialUs;
+    for (int i = 0; i < retries && rto < kRtoMaxUs; ++i)
+        rto *= 2.0;
+    return usToCycles(std::min(rto, kRtoMaxUs));
+}
+
 }  // namespace
 
 TraceAgent::TraceAgent(EventQueue *queue, net::Fabric *fabric,
-                       NodeId node, NodeId collector, AgentConfig cfg)
-    : queue_(queue), fabric_(fabric), node_(node),
-      collector_(collector), cfg_(cfg)
+                       NodeId node, NodeId collector)
+    : queue_(queue), fabric_(fabric), node_(node), collector_(collector)
 {
-    EXIST_ASSERT(cfg_.batch_bytes > 0, "agent batch_bytes must be > 0");
-    EXIST_ASSERT(cfg_.window > 0 &&
-                     cfg_.window <= cfg_.queue_capacity,
-                 "agent window must be in [1, queue_capacity]");
-}
-
-Cycles
-TraceAgent::rtoAfter(int retries) const
-{
-    double rto = cfg_.rto_initial_us;
-    for (int i = 0; i < retries && rto < cfg_.rto_max_us; ++i)
-        rto *= 2.0;
-    return usToCycles(std::min(rto, cfg_.rto_max_us));
 }
 
 void
@@ -52,79 +49,45 @@ TraceAgent::ship(std::uint64_t stream, std::vector<std::uint8_t> payload,
                  "agent %d: stream %llu shipped twice", node_,
                  (unsigned long long)stream);
     Stream &s = streams_[stream];
-    s.total_batches =
-        (payload.size() + cfg_.batch_bytes - 1) / cfg_.batch_bytes;
+    s.total_batches = (payload.size() + kBatchBytes - 1) / kBatchBytes;
     s.payload = std::move(payload);
     s.summary = std::move(summary);
     // Optimistic initial credit: one agent window. The first ack
     // replaces it with the master's real receive window.
-    s.credit_horizon = cfg_.window;
-    stageAndPump(stream, s);
-    if (s.staged.empty() && s.next_to_stage == s.total_batches &&
-        !s.finale_sent)
-        sendFinale(stream, s);  // empty payload: finale-only stream
-    scheduleHeartbeat();
+    s.credit_horizon = kWindow;
+    pump(stream, s);
 }
 
 void
-TraceAgent::stageAndPump(std::uint64_t stream_id, Stream &s)
+TraceAgent::pump(std::uint64_t stream_id, Stream &s)
 {
-    // Stage: materialize payload chunks into the bounded send queue.
-    while (s.staged.size() < cfg_.queue_capacity &&
-           s.next_to_stage < s.total_batches) {
-        std::uint64_t seq = s.next_to_stage++;
-        std::size_t begin = seq * cfg_.batch_bytes;
-        std::size_t end =
-            std::min(begin + cfg_.batch_bytes, s.payload.size());
-        Batch b;
-        b.chunk.assign(s.payload.begin() +
-                           static_cast<std::ptrdiff_t>(begin),
-                       s.payload.begin() +
-                           static_cast<std::ptrdiff_t>(end));
-        s.staged.emplace(seq, std::move(b));
+    // The one flow-control rule: send in sequence order while the
+    // window has room and the master's credit allows the next seq.
+    while (s.unacked.size() < kWindow &&
+           s.next_to_send < s.total_batches &&
+           s.next_to_send < s.credit_horizon) {
+        std::uint64_t seq = s.next_to_send++;
+        sendBatch(stream_id, s, seq, s.unacked[seq]);
     }
-
-    // Pump: send in sequence order within our window and the
-    // master's advertised credit.
-    std::size_t inflight = 0;
-    for (const auto &[seq, b] : s.staged)
-        if (b.sent)
-            ++inflight;
-    bool progressed = false;
-    for (auto &[seq, b] : s.staged) {
-        if (b.sent)
-            continue;
-        if (inflight >= cfg_.window || seq >= s.credit_horizon)
-            break;
-        sendBatch(stream_id, s, seq);
-        ++inflight;
-        progressed = true;
-    }
-
-    if (progressed || inflight > 0) {
-        s.stalled_since = 0;
-    } else if (!s.staged.empty() && s.stalled_since == 0) {
-        // Credit exhausted with nothing in flight: the master is
-        // backpressuring us. The heartbeat timer watches this clock
-        // and spills the stream if it runs past stall_spill_us.
-        s.stalled_since = queue_->now();
-    }
-    stats_.max_queue_depth =
-        std::max<std::uint64_t>(stats_.max_queue_depth, queueDepth());
+    // Every batch acked (an empty payload has none): close the stream.
+    if (s.unacked.empty() && s.next_to_send == s.total_batches &&
+        !s.finale_sent)
+        sendFinale(stream_id, s);
 }
 
 void
 TraceAgent::sendBatch(std::uint64_t stream_id, Stream &s,
-                      std::uint64_t seq)
+                      std::uint64_t seq, Batch &b)
 {
-    Batch &b = s.staged.at(seq);
-    b.sent = true;
+    const std::size_t begin = seq * kBatchBytes;
+    const std::size_t end = std::min(begin + kBatchBytes, s.payload.size());
     net::TraceRegionBatchMsg msg;
     msg.node = node_;
     msg.stream = stream_id;
     msg.batch_seq = seq;
     msg.total_batches = s.total_batches;
-    msg.chunk = b.chunk;
+    msg.chunk.assign(s.payload.begin() + static_cast<std::ptrdiff_t>(begin),
+                     s.payload.begin() + static_cast<std::ptrdiff_t>(end));
     std::uint64_t obs_corr = batchCorr(node_, stream_id, seq);
     obs::simInstant("agent.batch", obs_corr, queue_->now(),
                     static_cast<std::uint32_t>(node_),
@@ -149,18 +112,18 @@ TraceAgent::onBatchTimeout(std::uint64_t stream_id, std::uint64_t seq)
     if (sit == streams_.end())
         return;
     Stream &s = sit->second;
-    auto bit = s.staged.find(seq);
-    if (bit == s.staged.end() || !bit->second.sent)
+    auto bit = s.unacked.find(seq);
+    if (bit == s.unacked.end())
         return;  // acked (or spilled) while the timer was in flight
     Batch &b = bit->second;
     b.timer = kInvalidEvent;
     b.retries += 1;
-    if (b.retries > cfg_.max_retries) {
+    if (b.retries > kMaxRetries) {
         spill(stream_id, s);
         return;
     }
     stats_.backoffs += 1;
-    sendBatch(stream_id, s, seq);
+    sendBatch(stream_id, s, seq, b);
 }
 
 void
@@ -168,15 +131,14 @@ TraceAgent::spill(std::uint64_t stream_id, Stream &s)
 {
     // Degrade gracefully: drop every batch not yet acknowledged and
     // fall back to summarize-only (the finale still ships reliably).
-    std::uint64_t dropped = s.staged.size() +
-                            (s.total_batches - s.next_to_stage);
-    for (auto &[seq, b] : s.staged)
+    std::uint64_t dropped = s.unacked.size() +
+                            (s.total_batches - s.next_to_send);
+    for (auto &[seq, b] : s.unacked)
         if (b.timer != kInvalidEvent)
             queue_->cancel(b.timer);
-    s.staged.clear();
-    s.next_to_stage = s.total_batches;
+    s.unacked.clear();
+    s.next_to_send = s.total_batches;
     s.batches_spilled += dropped;
-    s.stalled_since = 0;
     stats_.batches_spilled += dropped;
     if (!s.degraded) {
         s.degraded = true;
@@ -251,29 +213,19 @@ TraceAgent::onAck(const net::AckMsg &ack)
         } else {
             stats_.dup_acks += 1;
         }
+        return;
+    }
+    auto bit = s.unacked.find(ack.batch_seq);
+    if (bit != s.unacked.end()) {
+        if (bit->second.timer != kInvalidEvent)
+            queue_->cancel(bit->second.timer);
+        s.unacked.erase(bit);
     } else {
-        if (ack.batch_seq != net::kCreditSeq) {
-            auto bit = s.staged.find(ack.batch_seq);
-            if (bit != s.staged.end() && bit->second.sent) {
-                if (bit->second.timer != kInvalidEvent)
-                    queue_->cancel(bit->second.timer);
-                s.staged.erase(bit);
-            } else {
-                stats_.dup_acks += 1;
-            }
-        }
-        s.credit_horizon = std::max(
-            s.credit_horizon, ack.cumulative + ack.window);
-        stageAndPump(ack.stream, s);
-        if (s.staged.empty() &&
-            s.next_to_stage == s.total_batches && !s.finale_sent)
-            sendFinale(ack.stream, s);
+        stats_.dup_acks += 1;
     }
-
-    if (allDone() && heartbeat_timer_ != kInvalidEvent) {
-        queue_->cancel(heartbeat_timer_);
-        heartbeat_timer_ = kInvalidEvent;
-    }
+    s.credit_horizon =
+        std::max(s.credit_horizon, ack.cumulative + ack.window);
+    pump(ack.stream, s);
 }
 
 void
@@ -295,45 +247,6 @@ TraceAgent::onFrame(NodeId src, const std::vector<std::uint8_t> &bytes)
     onAck(frame.ack);
 }
 
-void
-TraceAgent::scheduleHeartbeat()
-{
-    if (heartbeat_timer_ != kInvalidEvent)
-        return;
-    heartbeat_timer_ =
-        queue_->scheduleAfter(usToCycles(cfg_.heartbeat_interval_us),
-                              [this]() { onHeartbeatTimer(); });
-}
-
-void
-TraceAgent::onHeartbeatTimer()
-{
-    MutexLock lk(mu_);
-    heartbeat_timer_ = kInvalidEvent;
-    if (allDone())
-        return;  // streams finished: let the event queue drain
-
-    net::HeartbeatMsg hb;
-    hb.node = node_;
-    hb.seq = ++heartbeat_seq_;
-    hb.queue_depth = queueDepth();
-    obs::simInstant("agent.heartbeat", obs::corrId(node_, hb.seq),
-                    queue_->now(), static_cast<std::uint32_t>(node_),
-                    static_cast<std::uint32_t>(hb.queue_depth));
-    fabric_->send(node_, collector_, net::encodeFrame(hb));
-    stats_.heartbeats_sent += 1;
-
-    // Backpressure watchdog: a stream stalled on zero credit past the
-    // budget degrades to summarize-only instead of waiting forever.
-    Cycles now = queue_->now();
-    for (auto &[stream_id, s] : streams_) {
-        if (s.stalled_since != 0 &&
-            now - s.stalled_since > usToCycles(cfg_.stall_spill_us))
-            spill(stream_id, s);
-    }
-    scheduleHeartbeat();
-}
-
 bool
 TraceAgent::allDone() const
 {
@@ -341,15 +254,6 @@ TraceAgent::allDone() const
         if (!s.finale_acked)
             return false;
     return true;
-}
-
-std::size_t
-TraceAgent::queueDepth() const
-{
-    std::size_t depth = 0;
-    for (const auto &[id, s] : streams_)
-        depth += s.staged.size();
-    return depth;
 }
 
 bool

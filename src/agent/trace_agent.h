@@ -1,30 +1,25 @@
 /**
  * @file
- * Per-node trace agent of the collection plane (ISSUE 6): drains a
+ * Per-node trace agent of the collection plane (ISSUE 6): ships a
  * node's decoded session output — an opaque serialized payload, plus
- * a behaviour summary — into a bounded send queue and ships it to the
- * master's ingest over the simulated fabric as sequenced
- * TraceRegionBatch frames.
+ * a behaviour summary — to the master's ingest over the simulated
+ * fabric as sequenced TraceRegionBatch frames.
  *
- * Reliability state machine, per stream:
+ * Flow control is one rule: batch `seq` is sliced straight from the
+ * stream's payload and sent while fewer than kWindow batches are
+ * unacked and `seq` is below the credit horizon the ingest's acks
+ * advertise. Reliability state machine, per stream:
  *
- *   stage   payload chunks into the bounded queue (<= queue_capacity
- *           batches materialized at once; refilled as acks drain it)
- *   send    in sequence order, at most `window` unacked in flight and
- *           never beyond the master's advertised credit
- *   retry   per-batch timer; exponential backoff rto_initial * 2^n
- *           capped at rto_max; ack cancels the timer
- *   spill   when a batch exhausts max_retries, or the master's credit
- *           stays zero past stall_spill_us (backpressure), the agent
- *           degrades gracefully: it drops the stream's remaining
- *           batches and falls back to summarize-only
+ *   send    in sequence order under that rule; every ack may widen
+ *           the credit horizon and frees a window slot
+ *   retry   per-batch timer; exponential backoff kRtoInitialUs * 2^n
+ *           capped at kRtoMaxUs; ack cancels the timer
+ *   spill   when a batch exhausts kMaxRetries the agent degrades
+ *           gracefully: it drops the stream's remaining batches and
+ *           falls back to summarize-only
  *   finale  a BehaviorReport frame (summary + degradation accounting)
  *           closes every stream, retried without a retry cap — it is
  *           the part that must survive
- *
- * Heartbeats carry liveness + queue depth while any stream is in
- * flight; the master answers them with fresh credit, which is how an
- * agent paused by backpressure learns the master drained.
  *
  * All timing is virtual (the fabric's EventQueue) and all fault
  * randomness lives in the fabric's per-link streams, so a transfer is
@@ -48,21 +43,14 @@
 
 namespace exist::agent {
 
-struct AgentConfig {
-    /** Payload bytes per TraceRegionBatch frame. */
-    std::size_t batch_bytes = 32 * 1024;
-    /** Bounded send queue: batches materialized at once. */
-    std::size_t queue_capacity = 32;
-    /** Max unacked batches in flight (<= queue_capacity). */
-    std::size_t window = 16;
-    /** Retries per batch before the stream spills. */
-    int max_retries = 12;
-    double rto_initial_us = 500.0;
-    double rto_max_us = 64'000.0;
-    double heartbeat_interval_us = 2'000.0;
-    /** Zero master credit for longer than this => spill. */
-    double stall_spill_us = 200'000.0;
-};
+/** Payload bytes per TraceRegionBatch frame. */
+inline constexpr std::size_t kBatchBytes = 32 * 1024;
+/** Max unacked batches in flight per stream. */
+inline constexpr std::size_t kWindow = 16;
+/** Retries per batch before the stream spills. */
+inline constexpr int kMaxRetries = 12;
+inline constexpr double kRtoInitialUs = 500.0;
+inline constexpr double kRtoMaxUs = 64'000.0;
 
 struct AgentStats {
     std::uint64_t batches_sent = 0;    ///< first transmissions
@@ -70,28 +58,25 @@ struct AgentStats {
     std::uint64_t backoffs = 0;        ///< rto doublings applied
     std::uint64_t acks_received = 0;
     std::uint64_t dup_acks = 0;        ///< acks for already-done seqs
-    std::uint64_t heartbeats_sent = 0;
     std::uint64_t batches_spilled = 0;
     std::uint64_t streams_degraded = 0;
-    std::uint64_t max_queue_depth = 0;
 };
 
 class TraceAgent
 {
   public:
     TraceAgent(EventQueue *queue, net::Fabric *fabric, NodeId node,
-               NodeId collector, AgentConfig cfg = {});
+               NodeId collector);
 
-    /** Fabric delivery entry point (acks / credit updates). Wire this
-     *  as the node's Fabric::attach callback. */
+    /** Fabric delivery entry point (acks). Wire this as the node's
+     *  Fabric::attach callback. */
     void onFrame(NodeId src, const std::vector<std::uint8_t> &bytes)
         EXIST_EXCLUDES(mu_);
 
     /**
-     * Enqueue one session payload for shipment as stream `stream`
-     * (unique per agent). Staging, sending, retries and the finale
-     * all run on the event queue from here on; an empty payload is
-     * a finale-only stream.
+     * Ship one session payload as stream `stream` (unique per agent).
+     * Sending, retries and the finale all run on the event queue from
+     * here on; an empty payload is a finale-only stream.
      */
     void ship(std::uint64_t stream, std::vector<std::uint8_t> payload,
               std::string summary) EXIST_EXCLUDES(mu_);
@@ -103,20 +88,18 @@ class TraceAgent
     NodeId node() const { return node_; }
 
   private:
+    /** One sent, not yet acked batch. */
     struct Batch {
-        std::vector<std::uint8_t> chunk;
         int retries = 0;
-        bool sent = false;
         EventId timer = kInvalidEvent;
     };
     struct Stream {
         std::vector<std::uint8_t> payload;
         std::string summary;
         std::uint64_t total_batches = 0;
-        std::uint64_t next_to_stage = 0;   ///< next seq to materialize
-        std::map<std::uint64_t, Batch> staged;  ///< seq -> in-queue
-        std::uint64_t credit_horizon = 0;  ///< master allows seq < this
-        Cycles stalled_since = 0;          ///< 0 = not stalled
+        std::uint64_t next_to_send = 0;     ///< first never-sent seq
+        std::map<std::uint64_t, Batch> unacked;  ///< seq -> in flight
+        std::uint64_t credit_horizon = 0;   ///< master allows seq < this
         bool degraded = false;
         bool finale_sent = false;
         bool finale_acked = false;
@@ -125,10 +108,9 @@ class TraceAgent
         EventId finale_timer = kInvalidEvent;
     };
 
-    void stageAndPump(std::uint64_t stream_id, Stream &s)
-        EXIST_REQUIRES(mu_);
-    void sendBatch(std::uint64_t stream_id, Stream &s,
-                   std::uint64_t seq) EXIST_REQUIRES(mu_);
+    void pump(std::uint64_t stream_id, Stream &s) EXIST_REQUIRES(mu_);
+    void sendBatch(std::uint64_t stream_id, Stream &s, std::uint64_t seq,
+                   Batch &b) EXIST_REQUIRES(mu_);
     void onBatchTimeout(std::uint64_t stream_id, std::uint64_t seq)
         EXIST_EXCLUDES(mu_);
     void spill(std::uint64_t stream_id, Stream &s) EXIST_REQUIRES(mu_);
@@ -136,23 +118,16 @@ class TraceAgent
         EXIST_REQUIRES(mu_);
     void onFinaleTimeout(std::uint64_t stream_id) EXIST_EXCLUDES(mu_);
     void onAck(const net::AckMsg &ack) EXIST_REQUIRES(mu_);
-    void scheduleHeartbeat() EXIST_REQUIRES(mu_);
-    void onHeartbeatTimer() EXIST_EXCLUDES(mu_);
     bool allDone() const EXIST_REQUIRES(mu_);
-    std::size_t queueDepth() const EXIST_REQUIRES(mu_);
-    Cycles rtoAfter(int retries) const;
 
     EventQueue *queue_;
     net::Fabric *fabric_;
     const NodeId node_;
     const NodeId collector_;
-    const AgentConfig cfg_;
 
     mutable Mutex mu_{lockorder::LockRank::kAgentQueue, "agent.queue"};
     std::map<std::uint64_t, Stream> streams_ EXIST_GUARDED_BY(mu_);
     AgentStats stats_ EXIST_GUARDED_BY(mu_);
-    std::uint64_t heartbeat_seq_ EXIST_GUARDED_BY(mu_) = 0;
-    EventId heartbeat_timer_ EXIST_GUARDED_BY(mu_) = kInvalidEvent;
 };
 
 }  // namespace exist::agent

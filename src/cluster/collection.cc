@@ -1,6 +1,5 @@
 #include "cluster/collection.h"
 
-#include <algorithm>
 #include <map>
 #include <memory>
 #include <utility>
@@ -32,8 +31,6 @@ runCollection(const net::NetSpec &spec, std::uint64_t seed,
               metrics::Registry *registry)
 {
     CollectionOutcome out;
-    out.ran = true;
-    out.sessions = shipments.size();
 
     EXIST_SPAN("collect.run", obs::corrId(seed, shipments.size()));
     EventQueue q;
@@ -59,8 +56,7 @@ runCollection(const net::NetSpec &spec, std::uint64_t seed,
                           });
             it = agents.emplace(sh.node, std::move(a)).first;
         }
-        SessionPayload p = SessionPayload::fromResult(*sh.result, app);
-        SessionPayload::stripResult(sh.result, app);
+        SessionPayload p = SessionPayload::take(sh.result, app);
         it->second->ship(sh.stream, p.encode(), p.encodeSummary());
     }
 
@@ -75,7 +71,7 @@ runCollection(const net::NetSpec &spec, std::uint64_t seed,
         if (st.complete &&
             SessionPayload::decode(st.payload.data(),
                                    st.payload.size(), &p)) {
-            p.applyTo(sh.result);
+            std::move(p).applyTo(sh.result);
             out.complete += 1;
         } else if (SessionPayload::decodeSummary(st.summary, &p)) {
             p.applySummaryTo(sh.result);
@@ -92,11 +88,8 @@ runCollection(const net::NetSpec &spec, std::uint64_t seed,
         out.agents.backoffs += s.backoffs;
         out.agents.acks_received += s.acks_received;
         out.agents.dup_acks += s.dup_acks;
-        out.agents.heartbeats_sent += s.heartbeats_sent;
         out.agents.batches_spilled += s.batches_spilled;
         out.agents.streams_degraded += s.streams_degraded;
-        out.agents.max_queue_depth =
-            std::max(out.agents.max_queue_depth, s.max_queue_depth);
     }
     out.ingest = ingest.stats();
     out.fabric = fabric.stats();
@@ -131,15 +124,9 @@ runCollection(const net::NetSpec &spec, std::uint64_t seed,
         ag.counter("backoffs").add(out.agents.backoffs);
         ag.counter("acks_received").add(out.agents.acks_received);
         ag.counter("dup_acks").add(out.agents.dup_acks);
-        ag.counter("heartbeats_sent").add(out.agents.heartbeats_sent);
         ag.counter("batches_spilled").add(out.agents.batches_spilled);
         ag.counter("streams_degraded")
             .add(out.agents.streams_degraded);
-        metrics::Gauge &depth = ag.gauge("max_queue_depth");
-        if (static_cast<std::int64_t>(out.agents.max_queue_depth) >
-            depth.value())
-            depth.set(static_cast<std::int64_t>(
-                out.agents.max_queue_depth));
     }
     return out;
 }

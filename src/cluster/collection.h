@@ -4,7 +4,8 @@
  * over the simulated fabric (node TraceAgents -> master Ingest) and
  * re-applies the delivered payloads, so a control-plane caller gets
  * results that are byte-identical to in-process delivery whenever the
- * transfer completed within the retry budget.
+ * transfer completed within the retry budget. The ingest's advertised
+ * window is the transfer's only flow control (agent/trace_agent.h).
  *
  * Every ShardedMaster lane calls collectPlan() between the run phase
  * and capturePublish(); `existctl trace --net` uses the single-session
@@ -48,8 +49,6 @@ std::uint64_t collectSeed(std::uint64_t cluster_seed,
 /** What one collection run did (telemetry; the data lands back in
  *  the session results / ExperimentResult). */
 struct CollectionOutcome {
-    bool ran = false;  ///< net disabled => in-process hand-off
-    std::size_t sessions = 0;
     std::size_t complete = 0;  ///< payload fully reassembled
     std::size_t degraded = 0;  ///< summary-only (spill or deadline)
     agent::AgentStats agents;  ///< summed over the request's agents
@@ -60,9 +59,9 @@ struct CollectionOutcome {
 
 /**
  * Run the collection plane over one planned request's finished
- * sessions: strip each session result's collection-borne fields,
+ * sessions: move each session result's collection-borne fields out,
  * ship them through agents over the fabric, reassemble at the
- * ingest, re-apply. Publishes net.* / agent.* metrics into
+ * ingest, move them back. Publishes net.* / agent.* metrics into
  * `registry` (nullptr = skip). Nothing of the run is journaled: a
  * request that crashed mid-collection is re-planned and collected
  * again over the same collectSeed() fabric, which repeats the

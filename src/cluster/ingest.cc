@@ -30,26 +30,20 @@ obsNode(NodeId node)
 
 }  // namespace
 
-Ingest::Ingest(EventQueue *queue, net::Fabric *fabric, NodeId node,
-               IngestConfig cfg)
-    : queue_(queue), fabric_(fabric), node_(node), cfg_(cfg)
+Ingest::Ingest(EventQueue *queue, net::Fabric *fabric, NodeId node)
+    : queue_(queue), fabric_(fabric), node_(node)
 {
-    EXIST_ASSERT(cfg_.buffer_batches > 0,
-                 "ingest buffer_batches must be > 0");
 }
 
 std::uint32_t
 Ingest::windowFor(const Stream &s) const
 {
-    if (paused_)
-        return 0;
     // The in-order batch is always consumable, so the window never
-    // closes below 1 while unpaused — backpressure degrades the
-    // transfer to stop-and-wait instead of livelocking it.
-    std::size_t headroom =
-        cfg_.buffer_batches > s.held.size()
-            ? cfg_.buffer_batches - s.held.size()
-            : 0;
+    // closes below 1 — a full hold buffer degrades the transfer to
+    // stop-and-wait instead of livelocking it.
+    std::size_t headroom = kIngestHeldBatches > s.held.size()
+                               ? kIngestHeldBatches - s.held.size()
+                               : 0;
     return static_cast<std::uint32_t>(1 + headroom);
 }
 
@@ -92,12 +86,10 @@ Ingest::onBatch(const net::TraceRegionBatchMsg &msg)
         sendAck(msg.node, msg.stream, msg.batch_seq, s);
         return;
     }
-    if (paused_ ||
-        (msg.batch_seq > s.cumulative &&
-         msg.batch_seq - s.cumulative > cfg_.buffer_batches)) {
-        // Paused, or outside the window we are willing to hold. Not
-        // acked: the agent's retransmit timer retries it after the
-        // window reopens.
+    if (msg.batch_seq > s.cumulative &&
+        msg.batch_seq - s.cumulative > kIngestHeldBatches) {
+        // Outside the window we are willing to hold. Not acked: the
+        // agent's retransmit timer retries it once the gap fills.
         stats_.batches_refused += 1;
         return;
     }
@@ -145,27 +137,10 @@ Ingest::onReport(const net::BehaviorReportMsg &msg)
         s.degraded = msg.degraded;
         s.batches_spilled = msg.batches_spilled;
         s.summary = msg.summary;
-        stats_.finales_received += 1;
-        stats_.streams_completed += 1;
-        if (msg.degraded)
-            stats_.streams_degraded += 1;
     } else {
         stats_.batches_duplicate += 1;
     }
     sendAck(msg.node, msg.stream, net::kFinaleSeq, s);
-}
-
-void
-Ingest::onHeartbeat(const net::HeartbeatMsg &msg)
-{
-    stats_.heartbeats_seen += 1;
-    // Answer with a credit-only ack per live stream of this node, so
-    // an agent stalled on a closed window learns when we drained.
-    for (auto &[key, s] : streams_) {
-        if (key.first != msg.node || s.finale)
-            continue;
-        sendAck(msg.node, key.second, net::kCreditSeq, s);
-    }
 }
 
 void
@@ -175,14 +150,12 @@ Ingest::onFrame(NodeId src, const std::vector<std::uint8_t> &bytes)
     std::size_t consumed = 0;
     net::DecodeStatus st =
         net::decodeFrame(bytes.data(), bytes.size(), &frame, &consumed);
-    MutexLock lk(mu_);
-    stats_.frames_received += 1;
     if (st != net::DecodeStatus::kOk) {
-        stats_.frames_rejected += 1;
         warn("ingest %d: undecodable frame from %d (%s)", node_, src,
              net::decodeStatusName(st));
         return;
     }
+    MutexLock lk(mu_);
     switch (frame.type) {
       case net::MsgType::kTraceRegionBatch:
         onBatch(frame.batch);
@@ -190,37 +163,9 @@ Ingest::onFrame(NodeId src, const std::vector<std::uint8_t> &bytes)
       case net::MsgType::kBehaviorReport:
         onReport(frame.report);
         break;
-      case net::MsgType::kHeartbeat:
-        onHeartbeat(frame.heartbeat);
-        break;
       case net::MsgType::kAck:
         break;  // masters do not consume acks
     }
-}
-
-void
-Ingest::pause()
-{
-    MutexLock lk(mu_);
-    paused_ = true;
-}
-
-void
-Ingest::resume()
-{
-    MutexLock lk(mu_);
-    paused_ = false;
-}
-
-std::size_t
-Ingest::completedCount() const
-{
-    MutexLock lk(mu_);
-    std::size_t n = 0;
-    for (const auto &[key, s] : streams_)
-        if (s.finale)
-            ++n;
-    return n;
 }
 
 IngestedStream

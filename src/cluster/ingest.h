@@ -1,20 +1,19 @@
 /**
  * @file
  * Master-side ingest front end of the collection plane: the fabric
- * endpoint that receives TraceRegionBatch / BehaviorReport /
- * Heartbeat frames from node agents, makes delivery *idempotent*
+ * endpoint that receives TraceRegionBatch / BehaviorReport frames
+ * from node agents, makes delivery *idempotent*
  * (dedup by (node, stream, batch_seq) — re-transmissions and
  * fabric-duplicated frames are acked but consumed once), and
  * reassembles each stream's payload strictly in sequence order:
  * the in-order prefix is appended to the payload immediately, while
  * out-of-order batches are held (bounded) until the gap fills.
  *
- * Backpressure: every ack advertises a window — the count of batches
- * beyond the contiguous prefix the ingest will hold. pause() models a
- * busy master: the window drops to zero, agents stall (and eventually
- * spill if it lasts past their budget); resume() re-opens it, and the
- * next heartbeat from a stalled agent is answered with a credit-only
- * ack so the agent learns without guessing.
+ * Flow control: every ack advertises a window — 1 plus the count of
+ * out-of-order batches the ingest can still hold (kIngestHeldBatches
+ * at most) — and the agent sends only below cumulative + window. The
+ * window never closes below 1, so the in-order batch is always
+ * consumable and a transfer degrades to stop-and-wait, never stalls.
  *
  * A stream completes when all total_batches batches were consumed AND
  * its BehaviorReport finale arrived; a degraded stream (the agent
@@ -39,23 +38,15 @@
 
 namespace exist {
 
-struct IngestConfig {
-    /** Out-of-order batches held per stream beyond the contiguous
-     *  prefix; also the advertised window ceiling. */
-    std::size_t buffer_batches = 64;
-};
+/** Out-of-order batches held per stream beyond the contiguous
+ *  prefix; the advertised window is 1 plus the free part of this. */
+inline constexpr std::size_t kIngestHeldBatches = 64;
 
 struct IngestStats {
-    std::uint64_t frames_received = 0;
-    std::uint64_t frames_rejected = 0;  ///< failed decodeFrame
     std::uint64_t batches_accepted = 0;
     std::uint64_t batches_duplicate = 0;
     std::uint64_t batches_refused = 0;  ///< outside the offered window
     std::uint64_t acks_sent = 0;
-    std::uint64_t heartbeats_seen = 0;
-    std::uint64_t finales_received = 0;
-    std::uint64_t streams_completed = 0;
-    std::uint64_t streams_degraded = 0;
 };
 
 /** One reassembled stream, harvested with Ingest::take(). */
@@ -72,19 +63,11 @@ struct IngestedStream {
 class Ingest
 {
   public:
-    Ingest(EventQueue *queue, net::Fabric *fabric, NodeId node,
-           IngestConfig cfg = {});
+    Ingest(EventQueue *queue, net::Fabric *fabric, NodeId node);
 
     /** Fabric delivery entry point; wire as Fabric::attach callback. */
     void onFrame(NodeId src, const std::vector<std::uint8_t> &bytes)
         EXIST_EXCLUDES(mu_);
-
-    /** Model master backpressure: advertise a zero window. */
-    void pause() EXIST_EXCLUDES(mu_);
-    void resume() EXIST_EXCLUDES(mu_);
-
-    /** Streams whose finale has arrived. */
-    std::size_t completedCount() const EXIST_EXCLUDES(mu_);
 
     /**
      * Harvest one stream (after the event loop drained). `complete`
@@ -116,7 +99,6 @@ class Ingest
         EXIST_REQUIRES(mu_);
     void onReport(const net::BehaviorReportMsg &msg)
         EXIST_REQUIRES(mu_);
-    void onHeartbeat(const net::HeartbeatMsg &msg) EXIST_REQUIRES(mu_);
     void sendAck(NodeId dst, std::uint64_t stream,
                  std::uint64_t batch_seq, const Stream &s)
         EXIST_REQUIRES(mu_);
@@ -126,12 +108,10 @@ class Ingest
     EventQueue *queue_;
     net::Fabric *fabric_;
     const NodeId node_;
-    const IngestConfig cfg_;
 
     mutable Mutex mu_{lockorder::LockRank::kIngest, "cluster.ingest"};
     std::map<StreamKey, Stream> streams_ EXIST_GUARDED_BY(mu_);
     IngestStats stats_ EXIST_GUARDED_BY(mu_);
-    bool paused_ EXIST_GUARDED_BY(mu_) = false;
 };
 
 }  // namespace exist

@@ -1,5 +1,7 @@
 #include "cluster/session_payload.h"
 
+#include <utility>
+
 #include "net/wire.h"
 
 namespace exist {
@@ -29,19 +31,24 @@ getScalars(net::ByteReader &r, SessionPayload *p)
 }  // namespace
 
 SessionPayload
-SessionPayload::fromResult(const ExperimentResult &result,
-                           const std::string &app)
+SessionPayload::take(ExperimentResult *result, const std::string &app)
 {
     SessionPayload p;
     p.app = app;
-    if (const AppResult *target = result.find(app))
+    if (const AppResult *target = result->find(app))
         p.target_cpi = target->cpi;
-    p.decoded_branches = result.decoded_branches;
-    p.accuracy_wall = result.accuracy_wall;
-    p.decoded_function_insns = result.decoded_function_insns;
-    p.decoded_function_entries = result.decoded_function_entries;
-    p.truth_function_insns = result.truth_function_insns;
-    p.raw_traces = result.raw_traces;
+    for (AppResult &a : result->apps)
+        if (a.name == app)
+            a.cpi = 0.0;
+    p.decoded_branches = std::exchange(result->decoded_branches, 0);
+    p.accuracy_wall = std::exchange(result->accuracy_wall, 0.0);
+    p.decoded_function_insns =
+        std::exchange(result->decoded_function_insns, {});
+    p.decoded_function_entries =
+        std::exchange(result->decoded_function_entries, {});
+    p.truth_function_insns =
+        std::exchange(result->truth_function_insns, {});
+    p.raw_traces = std::exchange(result->raw_traces, {});
     return p;
 }
 
@@ -134,28 +141,14 @@ SessionPayload::applySummaryTo(ExperimentResult *result) const
 }
 
 void
-SessionPayload::applyTo(ExperimentResult *result) const
+SessionPayload::applyTo(ExperimentResult *result) &&
 {
     applySummaryTo(result);
-    result->decoded_function_insns = decoded_function_insns;
-    result->decoded_function_entries = decoded_function_entries;
-    result->truth_function_insns = truth_function_insns;
-    result->raw_traces = raw_traces;
-}
-
-void
-SessionPayload::stripResult(ExperimentResult *result,
-                            const std::string &app)
-{
-    result->decoded_branches = 0;
-    result->accuracy_wall = 0.0;
-    result->decoded_function_insns.clear();
-    result->decoded_function_entries.clear();
-    result->truth_function_insns.clear();
-    result->raw_traces.clear();
-    for (AppResult &a : result->apps)
-        if (a.name == app)
-            a.cpi = 0.0;
+    result->decoded_function_insns = std::move(decoded_function_insns);
+    result->decoded_function_entries =
+        std::move(decoded_function_entries);
+    result->truth_function_insns = std::move(truth_function_insns);
+    result->raw_traces = std::move(raw_traces);
 }
 
 }  // namespace exist

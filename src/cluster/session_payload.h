@@ -4,11 +4,11 @@
  * exactly the fields capturePublish() reads from a completed session
  * (raw traces, decoded/truth function profiles, decoded branch count,
  * wall accuracy, the target app's CPI). A session that travels the
- * simulated fabric is stripped of these fields at the worker, shipped
- * as an encoded SessionPayload, and has them re-applied at the master
- * — so the published report is byte-identical to in-process delivery
- * exactly when the transfer completed (the byte-compare ctests pin
- * this at drop rates up to the retry budget).
+ * simulated fabric has these fields moved out at the worker (take()),
+ * shipped as an encoded SessionPayload, and moved back in at the
+ * master (applyTo()) — so the published report is byte-identical to
+ * in-process delivery exactly when the transfer completed (the
+ * byte-compare ctests pin this at drop rates up to the retry budget).
  *
  * Two encodings share one struct:
  *   encode()        the full payload, chunked by the agent into
@@ -40,9 +40,10 @@ struct SessionPayload {
     std::vector<std::uint64_t> truth_function_insns;
     std::vector<CollectedTrace> raw_traces;
 
-    /** Capture the collection-borne fields of a finished session. */
-    static SessionPayload fromResult(const ExperimentResult &result,
-                                     const std::string &app);
+    /** Move the collection-borne fields out of a finished session's
+     *  result, leaving them zeroed there (what a lost stream leaves). */
+    static SessionPayload take(ExperimentResult *result,
+                               const std::string &app);
 
     std::vector<std::uint8_t> encode() const;
     std::string encodeSummary() const;
@@ -52,16 +53,11 @@ struct SessionPayload {
     static bool decodeSummary(const std::string &summary,
                               SessionPayload *out);
 
-    /** Write the full payload back into a session result. */
-    void applyTo(ExperimentResult *result) const;
+    /** Move the full payload back into a session result. */
+    void applyTo(ExperimentResult *result) &&;
     /** Write the scalar digest only (degraded streams): profiles and
      *  raw traces stay empty. */
     void applySummaryTo(ExperimentResult *result) const;
-
-    /** Zero the collection-borne fields of `result` (the worker-side
-     *  strip before shipment; what a lost stream would leave). */
-    static void stripResult(ExperimentResult *result,
-                            const std::string &app);
 };
 
 }  // namespace exist

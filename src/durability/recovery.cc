@@ -77,8 +77,15 @@ recover(const std::string &dir, metrics::Registry *registry)
             req.phase = RequestPhase::kPending;
             if (rec.request_id + 1 > st.dump.next_id)
                 st.dump.next_id = rec.request_id + 1;
-            st.dump.requests.insert_or_assign(rec.request_id,
-                                              std::move(req));
+            // Two runs appended to one log: replaying both would
+            // count the first run's published results twice.
+            if (!st.dump.requests.emplace(rec.request_id, std::move(req))
+                     .second) {
+                result.error = lsnError(
+                    rec.lsn, "admit repeats request " +
+                                 std::to_string(rec.request_id));
+                return result;
+            }
             break;
           }
 

@@ -1,11 +1,12 @@
 /**
  * @file
- * Durability knobs a TraceRequest / experiment can ask for. Kept
- * header-only and dependency-free so analysis/testbed.h can embed it
- * the same way it embeds net::NetSpec: Testbed::run itself ignores
- * durability — journaling is applied by the cluster layer
- * (durability/journal.h) around the control-plane mutations, so the
- * analysis layer stays independent of the durability plane.
+ * Durability knobs of a journaled control plane: where the WAL lives
+ * and how often to snapshot. They come from `existctl trace --wal
+ * DIR --snapshot-interval K` (or a recovered log's meta), never from
+ * a TraceRequest or ExperimentSpec. Header-only and dependency-free;
+ * journaling is applied around the control-plane mutations by
+ * durability/journal.h, so the analysis layer stays independent of
+ * the durability plane.
  */
 #ifndef EXIST_DURABILITY_SPEC_H
 #define EXIST_DURABILITY_SPEC_H

@@ -36,9 +36,10 @@
 namespace exist::net {
 
 /**
- * Collection-plane transport knobs. Travels on ExperimentSpec (the
- * Testbed wiring) and on TraceRequest CRDs as net=true loss=...
- * (the cluster wiring); NetSpec{} with enabled=false is the
+ * Collection-plane transport knobs. Built from a TraceRequest's
+ * net=true loss=... manifest keys (TraceRequest::netSpec(), read by
+ * collectPlan and by `existctl trace --net`); the analysis layer's
+ * ExperimentSpec carries none. NetSpec{} with enabled=false is the
  * historical in-process hand-off.
  */
 struct NetSpec {

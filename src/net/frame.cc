@@ -61,15 +61,6 @@ parseAck(ByteReader &r, AckMsg *msg)
     return r.ok() && r.remaining() == 0;
 }
 
-bool
-parseHeartbeat(ByteReader &r, HeartbeatMsg *msg)
-{
-    msg->node = static_cast<NodeId>(r.getSVarint());
-    msg->seq = r.getVarint();
-    msg->queue_depth = r.getVarint();
-    return r.ok() && r.remaining() == 0;
-}
-
 }  // namespace
 
 const char *
@@ -127,17 +118,6 @@ encodeFrame(const AckMsg &msg)
     return seal(MsgType::kAck, payload);
 }
 
-std::vector<std::uint8_t>
-encodeFrame(const HeartbeatMsg &msg)
-{
-    std::vector<std::uint8_t> payload;
-    ByteWriter w(&payload);
-    w.putSVarint(msg.node);
-    w.putVarint(msg.seq);
-    w.putVarint(msg.queue_depth);
-    return seal(MsgType::kHeartbeat, payload);
-}
-
 DecodeStatus
 decodeFrame(const std::uint8_t *data, std::size_t size, Frame *frame,
             std::size_t *consumed)
@@ -175,10 +155,6 @@ decodeFrame(const std::uint8_t *data, std::size_t size, Frame *frame,
       case MsgType::kAck:
         frame->type = MsgType::kAck;
         ok = parseAck(body, &frame->ack);
-        break;
-      case MsgType::kHeartbeat:
-        frame->type = MsgType::kHeartbeat;
-        ok = parseHeartbeat(body, &frame->heartbeat);
         break;
       default:
         return DecodeStatus::kBadPayload;

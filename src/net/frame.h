@@ -1,7 +1,7 @@
 /**
  * @file
  * The collection-plane wire protocol: a length-prefixed, checksummed
- * frame envelope carrying one of four message types —
+ * frame envelope carrying one of three message types —
  *
  *   TraceRegionBatch  node -> master: one sequenced chunk of a
  *                     serialized session payload (delta-encoded by
@@ -11,9 +11,10 @@
  *                     is what survives spill-and-summarize
  *   Ack               master -> node: selective ack for one batch,
  *                     plus the cumulative contiguous sequence and the
- *                     receive-window credit (backpressure signal)
- *   Heartbeat         node -> master: liveness + queue depth while a
- *                     stream is in flight
+ *                     receive-window credit (the only flow control)
+ *
+ * Any other type byte (4 was a retired Heartbeat) fails decodeFrame()
+ * as kBadPayload.
  *
  * Frame layout (little-endian):
  *
@@ -45,7 +46,6 @@ enum class MsgType : std::uint8_t {
     kTraceRegionBatch = 1,
     kBehaviorReport = 2,
     kAck = 3,
-    kHeartbeat = 4,
 };
 
 inline constexpr std::uint32_t kFrameMagic = 0x52465845u;  // "EXFR"
@@ -57,9 +57,6 @@ inline constexpr std::uint32_t kMaxFramePayload = 16u << 20;
 
 /** Ack sequence number standing for the BehaviorReport finale. */
 inline constexpr std::uint64_t kFinaleSeq = ~std::uint64_t{0};
-/** Ack sequence number for a credit-only ack (heartbeat reply): it
- *  acknowledges no batch, only refreshes cumulative/window. */
-inline constexpr std::uint64_t kCreditSeq = ~std::uint64_t{0} - 1;
 
 /** One sequenced chunk of a node's serialized session payload. */
 struct TraceRegionBatchMsg {
@@ -88,19 +85,12 @@ struct AckMsg {
     std::uint32_t window = 0;     ///< extra batches master will buffer
 };
 
-struct HeartbeatMsg {
-    NodeId node = kInvalidId;
-    std::uint64_t seq = 0;
-    std::uint64_t queue_depth = 0;  ///< agent send-queue occupancy
-};
-
 /** A decoded frame: the envelope plus exactly one message body. */
 struct Frame {
-    MsgType type = MsgType::kHeartbeat;
+    MsgType type = MsgType::kTraceRegionBatch;
     TraceRegionBatchMsg batch;
     BehaviorReportMsg report;
     AckMsg ack;
-    HeartbeatMsg heartbeat;
 };
 
 enum class DecodeStatus {
@@ -118,7 +108,6 @@ const char *decodeStatusName(DecodeStatus s);
 std::vector<std::uint8_t> encodeFrame(const TraceRegionBatchMsg &msg);
 std::vector<std::uint8_t> encodeFrame(const BehaviorReportMsg &msg);
 std::vector<std::uint8_t> encodeFrame(const AckMsg &msg);
-std::vector<std::uint8_t> encodeFrame(const HeartbeatMsg &msg);
 
 /**
  * Decode one frame from the front of `data`. On kOk, `*frame` holds

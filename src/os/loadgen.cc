@@ -42,10 +42,8 @@ PoissonLoadGen::scheduleNext()
 }
 
 ClosedLoopLoadGen::ClosedLoopLoadGen(Kernel *kernel, Service *target,
-                                     int clients, std::uint64_t seed,
-                                     Cycles think_time)
-    : kernel_(kernel), target_(target), clients_(clients), rng_(seed),
-      think_time_(think_time)
+                                     int clients, std::uint64_t seed)
+    : kernel_(kernel), target_(target), clients_(clients), rng_(seed)
 {
 }
 
@@ -73,34 +71,8 @@ ClosedLoopLoadGen::submitOne()
             latencies_.add(static_cast<double>(done - submitted) /
                            static_cast<double>(kCyclesPerUs));
         }
-        Cycles delay = think_time_;
-        if (delay > 0)
-            kernel_->queue().schedule(done + delay,
-                                      [this] { submitOne(); });
-        else
-            kernel_->queue().schedule(std::max(done, kernel_->now()),
-                                      [this] { submitOne(); });
-    });
-}
-
-void
-PeriodicLoadGen::start()
-{
-    running_ = true;
-    tick();
-}
-
-void
-PeriodicLoadGen::tick()
-{
-    if (!running_)
-        return;
-    kernel_->queue().scheduleAfter(period_, [this] {
-        if (!running_)
-            return;
-        ++issued_;
-        target_->submit(kernel_->now(), nullptr);
-        tick();
+        kernel_->queue().schedule(std::max(done, kernel_->now()),
+                                  [this] { submitOne(); });
     });
 }
 

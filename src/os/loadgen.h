@@ -1,8 +1,8 @@
 /**
  * @file
  * Load generators driving services: an open-loop Poisson generator
- * (memtier/ab/sysbench stand-in) measuring end-to-end response times,
- * and a periodic generator for daemon-style workloads (Agent).
+ * and a closed-loop one (memtier/ab/sysbench stand-ins), both
+ * measuring end-to-end response times.
  */
 #ifndef EXIST_OS_LOADGEN_H
 #define EXIST_OS_LOADGEN_H
@@ -52,16 +52,16 @@ class PoissonLoadGen
 
 /**
  * Closed-loop generator: N concurrent clients, each submitting its next
- * request as soon as the previous one completes (plus an optional think
- * time). This is how memtier/ab/sysbench drive their targets, and it is
- * what makes *throughput* sensitive to service-time inflation — the
- * metric of paper Figure 14.
+ * request as soon as the previous one completes. This is how
+ * memtier/ab/sysbench drive their targets, and it is what makes
+ * *throughput* sensitive to service-time inflation — the metric of
+ * paper Figure 14.
  */
 class ClosedLoopLoadGen
 {
   public:
     ClosedLoopLoadGen(Kernel *kernel, Service *target, int clients,
-                      std::uint64_t seed, Cycles think_time = 0);
+                      std::uint64_t seed);
 
     void start();
     void stop() { running_ = false; }
@@ -79,36 +79,11 @@ class ClosedLoopLoadGen
     Service *target_;
     int clients_;
     Rng rng_;
-    Cycles think_time_;
     bool running_ = false;
     Cycles warmup_until_ = 0;
     Samples latencies_;
     std::uint64_t issued_ = 0;
     std::uint64_t completed_ = 0;
-};
-
-/** Fixed-interval generator (periodic daemons, stress pulses). */
-class PeriodicLoadGen
-{
-  public:
-    PeriodicLoadGen(Kernel *kernel, Service *target, Cycles period)
-        : kernel_(kernel), target_(target), period_(period)
-    {
-    }
-
-    void start();
-    void stop() { running_ = false; }
-
-    std::uint64_t issued() const { return issued_; }
-
-  private:
-    void tick();
-
-    Kernel *kernel_;
-    Service *target_;
-    Cycles period_;
-    bool running_ = false;
-    std::uint64_t issued_ = 0;
 };
 
 }  // namespace exist

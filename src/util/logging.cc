@@ -9,7 +9,6 @@ namespace exist {
 
 namespace {
 
-int g_verbosity = 1;
 CrashDumpHook g_crash_dump_hook = nullptr;
 
 /** Leaf-ranked sink lock: one fully formatted line per acquisition, so
@@ -33,18 +32,6 @@ monotonicMs()
 }
 
 }  // namespace
-
-int
-logVerbosity()
-{
-    return g_verbosity;
-}
-
-void
-setLogVerbosity(int level)
-{
-    g_verbosity = level;
-}
 
 CrashDumpHook
 setCrashDumpHook(CrashDumpHook hook)
@@ -88,13 +75,6 @@ sinkLine(const char *level, const char *component, const std::string &msg)
     MutexLock lock(sinkMutex());
     std::fprintf(stderr, "[%10.3f] %-5s %s | %s\n", ms, level, component,
                  msg.c_str());
-}
-
-void
-message(const char *kind, int min_level, const std::string &msg)
-{
-    if (g_verbosity >= min_level)
-        sinkLine(kind, "exist", msg);
 }
 
 void

@@ -14,10 +14,8 @@
  * and the emitting component.  All logging is stderr-only: stdout is
  * reserved for report bytes and stays byte-comparable across runs.
  *
- * Levels map onto the existing verbosity knob: kError always prints,
- * kWarn and kNote at verbosity >= 1 (kNote is operator telemetry —
- * progress lines from existctl and the collection plane), kInfo at
- * >= 2, kDebug at >= 3.
+ * Every level always prints: kError, kWarn, and kNote (operator
+ * telemetry — progress lines from existctl and the collection plane).
  *
  * Fatal/panic termination additionally invokes the crash-dump hook if
  * one is installed; src/obs wires the flight recorder in through it so
@@ -32,19 +30,11 @@
 
 namespace exist {
 
-/** Verbosity level for inform()/warn(); 0 silences both. */
-int logVerbosity();
-
-/** Set global log verbosity (0 = quiet, 1 = warn, 2 = inform). */
-void setLogVerbosity(int level);
-
-/** Severity of a log line (selects the prefix and the gate). */
+/** Severity of a log line (selects the prefix). */
 enum class LogLevel {
-    kError, ///< always printed
-    kWarn,  ///< verbosity >= 1
-    kNote,  ///< operator telemetry, verbosity >= 1
-    kInfo,  ///< verbosity >= 2
-    kDebug, ///< verbosity >= 3
+    kError,
+    kWarn,
+    kNote,  ///< operator telemetry
 };
 
 /**
@@ -63,8 +53,6 @@ namespace detail {
 [[noreturn]] void terminate(const char *kind, const std::string &msg,
                             const char *file, int line, bool core_dump);
 
-void message(const char *kind, int min_level, const std::string &msg);
-
 /** Format one prefixed line and write it atomically to stderr. */
 void sinkLine(const char *level, const char *component,
               const std::string &msg);
@@ -74,20 +62,6 @@ std::string format(const char *fmt, ...)
 
 }  // namespace detail
 
-/** Minimum verbosity at which `level` prints (0 = always). */
-constexpr int
-logLevelRank(LogLevel level)
-{
-    switch (level) {
-      case LogLevel::kError: return 0;
-      case LogLevel::kWarn:
-      case LogLevel::kNote: return 1;
-      case LogLevel::kInfo: return 2;
-      case LogLevel::kDebug: return 3;
-    }
-    return 0;
-}
-
 /** Display name of `level` in the line prefix. */
 constexpr const char *
 logLevelName(LogLevel level)
@@ -96,8 +70,6 @@ logLevelName(LogLevel level)
       case LogLevel::kError: return "error";
       case LogLevel::kWarn: return "warn";
       case LogLevel::kNote: return "note";
-      case LogLevel::kInfo: return "info";
-      case LogLevel::kDebug: return "debug";
     }
     return "?";
 }
@@ -107,15 +79,12 @@ template <typename... Args>
 void
 logLine(LogLevel level, const char *component, const char *fmt, Args... args)
 {
-    int rank = logLevelRank(level);
-    if (rank != 0 && logVerbosity() < rank)
-        return;
     detail::sinkLine(logLevelName(level), component,
                      detail::format(fmt, args...));
 }
 
-/** Operator telemetry (progress/config lines); printed at verbosity
- *  >= 1, which is the default — the replacement for bare fprintf. */
+/** Operator telemetry (progress/config lines) — the replacement for
+ *  bare fprintf. */
 template <typename... Args>
 void
 note(const char *component, const char *fmt, Args... args)
@@ -123,20 +92,12 @@ note(const char *component, const char *fmt, Args... args)
     logLine(LogLevel::kNote, component, fmt, args...);
 }
 
-/** Informational message for the user; printed at verbosity >= 2. */
-template <typename... Args>
-void
-inform(const char *fmt, Args... args)
-{
-    detail::message("info", 2, detail::format(fmt, args...));
-}
-
-/** Warning about suspicious but non-fatal conditions; verbosity >= 1. */
+/** Warning about suspicious but non-fatal conditions. */
 template <typename... Args>
 void
 warn(const char *fmt, Args... args)
 {
-    detail::message("warn", 1, detail::format(fmt, args...));
+    detail::sinkLine("warn", "exist", detail::format(fmt, args...));
 }
 
 /** Terminate because of a user error (bad config, invalid argument). */

@@ -1,8 +1,8 @@
 /**
  * @file
  * Collection-plane end-to-end tests: agent -> fabric -> ingest
- * transfers under loss/reorder/duplication, backpressure and
- * spill-and-summarize degradation, and the ISSUE 6 acceptance gates —
+ * transfers under loss/reorder/duplication, spill-and-summarize
+ * degradation on retry exhaustion, and the ISSUE 6 acceptance gates —
  * results and control-plane reports byte-identical to in-process
  * delivery at drop rates {0, 0.01, 0.05} with reordering, for the
  * Testbed path, the serial control-plane reference (one lane, one
@@ -40,11 +40,10 @@ struct Harness {
     Ingest ingest;
     agent::TraceAgent agent;
 
-    explicit Harness(const net::NetSpec &spec, std::uint64_t seed = 1,
-                     agent::AgentConfig cfg = {})
+    explicit Harness(const net::NetSpec &spec, std::uint64_t seed = 1)
         : fabric(&q, spec, seed),
           ingest(&q, &fabric, kCollectorNode),
-          agent(&q, &fabric, 0, kCollectorNode, cfg)
+          agent(&q, &fabric, 0, kCollectorNode)
     {
         fabric.attach(kCollectorNode,
                       [this](NodeId src,
@@ -66,20 +65,19 @@ struct Harness {
     }
 };
 
-agent::AgentConfig
-smallBatches()
+/** A payload of `batches` agent batches, the last one partial. */
+std::vector<std::uint8_t>
+batchesOfPayload(std::size_t batches, std::uint64_t seed)
 {
-    agent::AgentConfig cfg;
-    cfg.batch_bytes = 1024;  // many batches from a small payload
-    return cfg;
+    return randomPayload(batches * agent::kBatchBytes - 1000, seed);
 }
 
 TEST(CollectionE2E, LosslessTransferIsByteIdentical)
 {
     net::NetSpec spec;
     spec.enabled = true;
-    Harness h(spec, 1, smallBatches());
-    std::vector<std::uint8_t> payload = randomPayload(20'000, 5);
+    Harness h(spec, 1);
+    std::vector<std::uint8_t> payload = batchesOfPayload(20, 5);
     h.agent.ship(0, payload, "summary text");
     h.runToQuiescence();
 
@@ -89,8 +87,14 @@ TEST(CollectionE2E, LosslessTransferIsByteIdentical)
     EXPECT_FALSE(st.degraded);
     EXPECT_EQ(st.payload, payload);
     EXPECT_EQ(st.summary, "summary text");
-    EXPECT_EQ(h.agent.stats().retransmits, 0u);
-    EXPECT_EQ(h.agent.stats().batches_sent, 20u);  // ceil(20000/1024)
+    EXPECT_EQ(h.agent.stats().batches_sent, 20u);
+    // Nothing was lost, so a retransmit can only re-send a batch the
+    // ingest already holds: the first window's tail (16 x 32 KB is
+    // ~420 us of NIC time at 10 Gbps) is acked after the 500 us
+    // initial RTO.
+    EXPECT_EQ(h.fabric.stats().frames_dropped, 0u);
+    EXPECT_EQ(h.ingest.stats().batches_duplicate,
+              h.agent.stats().retransmits);
 }
 
 TEST(CollectionE2E, SurvivesLossReorderingAndDuplication)
@@ -100,8 +104,8 @@ TEST(CollectionE2E, SurvivesLossReorderingAndDuplication)
     spec.drop_rate = 0.05;
     spec.reorder_rate = 0.2;
     spec.duplicate_rate = 0.05;
-    Harness h(spec, 77, smallBatches());
-    std::vector<std::uint8_t> payload = randomPayload(40'000, 6);
+    Harness h(spec, 77);
+    std::vector<std::uint8_t> payload = batchesOfPayload(40, 6);
     h.agent.ship(0, payload, "s");
     h.runToQuiescence();
 
@@ -123,8 +127,8 @@ TEST(CollectionE2E, DuplicatesAreConsumedOnce)
     net::NetSpec spec;
     spec.enabled = true;
     spec.duplicate_rate = 0.5;  // half the frames arrive twice
-    Harness h(spec, 3, smallBatches());
-    std::vector<std::uint8_t> payload = randomPayload(30'000, 7);
+    Harness h(spec, 3);
+    std::vector<std::uint8_t> payload = batchesOfPayload(30, 7);
     h.agent.ship(0, payload, "s");
     h.runToQuiescence();
 
@@ -134,63 +138,31 @@ TEST(CollectionE2E, DuplicatesAreConsumedOnce)
     EXPECT_GT(h.ingest.stats().batches_duplicate, 0u);
 }
 
-TEST(CollectionE2E, BackpressurePausesThenResumes)
+TEST(CollectionE2E, RetryExhaustionDegradesToSummary)
 {
+    // At 80% frame loss a batch and its ack both get through one try
+    // in 25, so some batch exhausts its retries and the stream spills.
     net::NetSpec spec;
     spec.enabled = true;
-    Harness h(spec, 11, smallBatches());
-    std::vector<std::uint8_t> payload = randomPayload(60'000, 8);
-    h.ingest.pause();
-    // Resume well before the agent's stall budget expires.
-    h.q.schedule(usToCycles(50'000),
-                 [&h]() { h.ingest.resume(); });
-    h.agent.ship(0, payload, "s");
-    h.runToQuiescence();
+    spec.drop_rate = 0.8;
+    Harness h(spec, 13);
+    h.agent.ship(0, batchesOfPayload(50, 9),
+                 "the summary that must survive");
+    h.runToQuiescence(120.0);
 
-    IngestedStream st = h.ingest.take(0, 0);
-    ASSERT_TRUE(st.complete);
-    EXPECT_FALSE(st.degraded);
-    EXPECT_EQ(st.payload, payload);
-    // The pause actually bit: frames were refused and retried.
-    EXPECT_GT(h.ingest.stats().batches_refused, 0u);
-    EXPECT_GT(h.agent.stats().retransmits, 0u);
-}
-
-TEST(CollectionE2E, PersistentBackpressureDegradesToSummary)
-{
-    net::NetSpec spec;
-    spec.enabled = true;
-    Harness h(spec, 13, smallBatches());
-    std::vector<std::uint8_t> payload = randomPayload(50'000, 9);
-    h.ingest.pause();  // never resumed: the master stays wedged
-    h.agent.ship(0, payload, "the summary that must survive");
-    h.runToQuiescence();
-
-    // Spill-and-summarize: the stream degraded, the finale (which a
-    // paused ingest still accepts) carried the summary through.
+    // Spill-and-summarize: the stream degraded, and the finale, retried
+    // without a cap, carried the summary through.
     EXPECT_TRUE(h.agent.idle());
     agent::AgentStats as = h.agent.stats();
     EXPECT_EQ(as.streams_degraded, 1u);
     EXPECT_GT(as.batches_spilled, 0u);
+    EXPECT_GE(as.backoffs, static_cast<std::uint64_t>(agent::kMaxRetries));
 
     IngestedStream st = h.ingest.take(0, 0);
     EXPECT_FALSE(st.complete);
     EXPECT_TRUE(st.degraded);
     EXPECT_EQ(st.summary, "the summary that must survive");
-    EXPECT_GT(st.batches_spilled, 0u);
-}
-
-TEST(CollectionE2E, HeartbeatsFlowWhileStreaming)
-{
-    net::NetSpec spec;
-    spec.enabled = true;
-    spec.drop_rate = 0.1;
-    Harness h(spec, 17, smallBatches());
-    h.agent.ship(0, randomPayload(80'000, 10), "s");
-    h.runToQuiescence();
-    EXPECT_GT(h.agent.stats().heartbeats_sent, 0u);
-    EXPECT_GT(h.ingest.stats().heartbeats_seen, 0u);
-    EXPECT_TRUE(h.agent.idle());  // and the queue still drained
+    EXPECT_EQ(st.batches_spilled, as.batches_spilled);
 }
 
 TEST(SessionPayloadTest, RoundTripsAllFields)
@@ -284,7 +256,6 @@ TEST(CollectionAcceptance, TestbedResultIdenticalAcrossDropRates)
         spec.reorder_rate = 0.2;
         CollectionOutcome co = collectSessionResult(
             transported, spec, collectSeed(99, 4), "Cache", nullptr);
-        EXPECT_TRUE(co.ran);
         EXPECT_EQ(co.complete, 1u) << "drop=" << drop;
         EXPECT_EQ(co.degraded, 0u) << "drop=" << drop;
         expectResultsEqual(transported, baseline, "Cache");
@@ -293,8 +264,9 @@ TEST(CollectionAcceptance, TestbedResultIdenticalAcrossDropRates)
         // drop rates may not hit any of them — only require retries
         // when the fabric actually dropped something. (The E2E tests
         // above force losses with big payloads.)
-        if (co.fabric.frames_dropped > 0)
+        if (co.fabric.frames_dropped > 0) {
             EXPECT_GT(co.agents.retransmits, 0u) << "drop=" << drop;
+        }
     }
 }
 
@@ -314,7 +286,6 @@ TEST(CollectionAcceptance, WireLogIdenticalAcrossRunsAtSameSeed)
         ExperimentResult r = Testbed::run(sessionSpec());
         CollectionOutcome co = collectSessionResult(
             r, spec, collectSeed(7, 1), "Cache", nullptr);
-        ASSERT_TRUE(co.ran);
         logs[run] = co.wire_log;
     }
     EXPECT_FALSE(logs[0].empty());

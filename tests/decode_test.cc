@@ -110,8 +110,9 @@ TEST(Decode, FunctionHistogramMatchesTruth)
             enc->prog.block(b).insns;
     // Every function with significant truth mass appears in the decode.
     for (std::uint32_t f = 0; f < enc->prog.numFunctions(); ++f) {
-        if (truth_insns[f] > 1000)
+        if (truth_insns[f] > 1000) {
             EXPECT_GT(dt.function_insns[f], 0u) << "function " << f;
+        }
     }
 }
 

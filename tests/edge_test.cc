@@ -1,9 +1,8 @@
 /**
  * @file
  * Edge-case coverage: configurations and paths the main suites don't
- * reach — CYC/TSC-disabled tracing, SMT topology contention, the
- * periodic load generator, empty-input report synthesis, UMA corner
- * cases, and tracer misuse.
+ * reach — CYC/TSC-disabled tracing, SMT topology contention,
+ * empty-input report synthesis, UMA corner cases, and tracer misuse.
  */
 #include <gtest/gtest.h>
 
@@ -12,7 +11,6 @@
 #include "core/uma.h"
 #include "decode/flow_reconstructor.h"
 #include "hwtrace/tracer.h"
-#include "os/loadgen.h"
 #include "os/service.h"
 #include "workload/execution.h"
 
@@ -102,22 +100,6 @@ TEST(EdgeKernel, SmtSiblingsContend)
     double alone = cpi_with(false);
     double contended = cpi_with(true);
     EXPECT_GT(contended, alone * 1.05);
-}
-
-TEST(EdgeLoadGen, PeriodicGeneratorTicksSteadily)
-{
-    Kernel kernel(NodeConfig{.num_cores = 2, .seed = 33});
-    auto bin = Testbed::binaryForApp("Agent");
-    Process *p = kernel.createProcess("Agent", bin, {});
-    Service svc(&kernel, p, 34);
-    svc.spawnWorkers(2);
-    PeriodicLoadGen gen(&kernel, &svc, usToCycles(5000.0));
-    gen.start();
-    kernel.runFor(secondsToCycles(0.1));
-    gen.stop();
-    EXPECT_NEAR(static_cast<double>(gen.issued()), 20.0, 2.0);
-    kernel.runFor(secondsToCycles(0.05));
-    EXPECT_EQ(svc.completedCount(), gen.issued());
 }
 
 TEST(EdgeReport, EmptyInputsAreSafe)

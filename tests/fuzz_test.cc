@@ -56,8 +56,9 @@ TEST(Fuzz, TopaConservesBytesUnderRandomWrites)
             ASSERT_EQ(r.accepted + r.dropped, n);
         }
         ASSERT_EQ(buf.bytesAccepted() + buf.bytesDropped(), sent);
-        if (!ring)
+        if (!ring) {
             ASSERT_LE(buf.bytesAccepted(), buf.capacity());
+        }
     }
 }
 
@@ -259,10 +260,10 @@ TEST(Fuzz, DecoderTerminatesOnArbitraryFrameBytes)
         // Occasionally splice a real header in front so the length /
         // checksum paths are hit too, not just kBadMagic.
         if (rng.bernoulli(0.5)) {
-            net::HeartbeatMsg hb;
-            hb.node = 1;
-            hb.seq = rng.uniformInt(100);
-            std::vector<std::uint8_t> real = net::encodeFrame(hb);
+            net::AckMsg ack;
+            ack.node = 1;
+            ack.batch_seq = rng.uniformInt(100);
+            std::vector<std::uint8_t> real = net::encodeFrame(ack);
             std::copy(real.begin(),
                       real.begin() +
                           static_cast<std::ptrdiff_t>(std::min(
@@ -513,8 +514,9 @@ TEST(Fuzz, WalTornTailsRecoverPrefixOrFailLoudly)
         durability::Wal::ReplayResult rr =
             durability::Wal::replay(work.string(), 1);
         expectPrefixOrLoudError(rr, golden);
-        if (victim + 1 < wsegs.size())
+        if (victim + 1 < wsegs.size()) {
             EXPECT_FALSE(rr.ok) << "mid-log truncation must be loud";
+        }
     }
     fsys::remove_all(golden_dir);
     fsys::remove_all(work);

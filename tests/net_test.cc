@@ -127,10 +127,6 @@ TEST(FrameTest, AllTypesRoundTrip)
     ack.batch_seq = kFinaleSeq;
     ack.cumulative = 17;
     ack.window = 5;
-    HeartbeatMsg hb;
-    hb.node = 6;
-    hb.seq = 99;
-    hb.queue_depth = 12;
 
     Frame frame;
     std::size_t consumed = 0;
@@ -149,13 +145,32 @@ TEST(FrameTest, AllTypesRoundTrip)
     EXPECT_EQ(frame.ack.batch_seq, kFinaleSeq);
     EXPECT_EQ(frame.ack.cumulative, 17u);
     EXPECT_EQ(frame.ack.window, 5u);
+}
 
-    wire = encodeFrame(hb);
-    ASSERT_EQ(decodeFrame(wire.data(), wire.size(), &frame, &consumed),
-              DecodeStatus::kOk);
-    EXPECT_EQ(frame.type, MsgType::kHeartbeat);
-    EXPECT_EQ(frame.heartbeat.seq, 99u);
-    EXPECT_EQ(frame.heartbeat.queue_depth, 12u);
+TEST(FrameTest, RetiredHeartbeatTypeIsBadPayload)
+{
+    // A well-formed envelope of type 4 (the retired Heartbeat: node,
+    // seq, queue depth) with a matching checksum: the envelope checks
+    // pass, and the unknown type fails as a body that does not parse.
+    std::vector<std::uint8_t> body;
+    ByteWriter b(&body);
+    b.putSVarint(6);
+    b.putVarint(99);
+    b.putVarint(12);
+    std::vector<std::uint8_t> wire;
+    ByteWriter w(&wire);
+    w.putU32(kFrameMagic);
+    w.putU8(kFrameVersion);
+    w.putU8(4);
+    w.putU32(static_cast<std::uint32_t>(body.size()));
+    w.putU64(fnv1a64(body.data(), body.size()));
+    w.putBytes(body.data(), body.size());
+
+    Frame frame;
+    std::size_t consumed = 1;
+    EXPECT_EQ(decodeFrame(wire.data(), wire.size(), &frame, &consumed),
+              DecodeStatus::kBadPayload);
+    EXPECT_EQ(consumed, 0u);
 }
 
 TEST(FrameTest, RejectsCorruption)
@@ -193,9 +208,9 @@ TEST(FrameTest, RejectsCorruption)
 
 TEST(FrameTest, ConcatenatedFramesParseSequentially)
 {
-    HeartbeatMsg hb;
-    hb.node = 2;
-    std::vector<std::uint8_t> wire = encodeFrame(hb);
+    BehaviorReportMsg rep;
+    rep.node = 2;
+    std::vector<std::uint8_t> wire = encodeFrame(rep);
     AckMsg ack;
     ack.node = 2;
     ack.stream = 1;
@@ -206,7 +221,7 @@ TEST(FrameTest, ConcatenatedFramesParseSequentially)
     std::size_t consumed = 0;
     ASSERT_EQ(decodeFrame(wire.data(), wire.size(), &frame, &consumed),
               DecodeStatus::kOk);
-    EXPECT_EQ(frame.type, MsgType::kHeartbeat);
+    EXPECT_EQ(frame.type, MsgType::kBehaviorReport);
     ASSERT_EQ(decodeFrame(wire.data() + consumed,
                           wire.size() - consumed, &frame, &consumed),
               DecodeStatus::kOk);

@@ -454,6 +454,33 @@ TEST(DurabilityCrdTest, WalKeysFailRecoveryAsCorruption)
     }
 }
 
+TEST(RecoveryTest, RepeatedAdmitFailsAtItsLsn)
+{
+    // Two runs appended to one log admit the same ids twice; replaying
+    // both would publish the first run's results twice, so recovery
+    // fails at the repeated admit and names its LSN.
+    fs::path dir = freshDir("dupadmit");
+    {
+        Wal wal(Wal::Config{dir.string()});
+        WalRecord meta;
+        meta.type = RecordType::kMeta;
+        meta.meta.num_nodes = 4;
+        meta.meta.cores_per_node = 2;
+        meta.meta.shards = 1;
+        meta.meta.deployments = {{"Cache", 3}};
+        wal.append(meta);
+        wal.append(admitRecord(1, "app=Cache budget_mb=64"));
+        wal.append(admitRecord(2, "app=Cache budget_mb=64"));
+        wal.append(admitRecord(1, "app=Cache budget_mb=64"));
+    }
+    RecoveryResult rec = recover(dir.string());
+    EXPECT_FALSE(rec.ok);
+    EXPECT_NE(rec.error.find("lsn 4: admit repeats request 1"),
+              std::string::npos)
+        << rec.error;
+    fs::remove_all(dir);
+}
+
 TEST(CrashPointTest, NamedCountAndStepArming)
 {
     CrashGuard guard("p:2");

@@ -52,7 +52,8 @@
  *                        [--crash-at P] [--shards N] ...
  *       Durability mode (DESIGN.md §12): the control plane (one
  *       lane without --shards, N with) journals every mutation into
- *       DIR's write-ahead log and snapshots every K publishes.
+ *       DIR's write-ahead log and snapshots every K publishes. DIR
+ *       must not hold a log or snapshot yet.
  *       --crash-at arms a named crash point ("admit", "post-plan",
  *       "pre-store", "mid-snapshot", "post-snapshot", optionally ":n"
  *       for the nth crossing, or "step:N") — the process dies there
@@ -66,11 +67,9 @@
  *       run. Recovery telemetry goes to stderr.
  *
  *   existctl top [<manifest>...] [--shards N] [--threads N]
- *                [--iterations N] [--interval-ms M]
- *       Live metrics view: reconcile the optional manifests on the
- *       demo cluster, then render every registry metric as one sorted
- *       table (name, type, value). --iterations N redraws the table N
- *       times at --interval-ms spacing, like a primitive `top`.
+ *       Metrics view: reconcile the optional manifests on the demo
+ *       cluster, then render every registry metric as one sorted
+ *       table (name, type, value).
  *
  *   existctl dump-flight [<manifest>...] [--shards N] [--threads N]
  *       Reconcile the optional manifests (to generate span traffic),
@@ -102,7 +101,6 @@
 #include <limits>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "analysis/behavior_report.h"
@@ -148,8 +146,7 @@ usage()
         "                      [--shards N] ...\n"
         "       existctl recover DIR [--threads N]\n"
         "       existctl top [<manifest>...] [--shards N]\n"
-        "                      [--threads N] [--iterations N]\n"
-        "                      [--interval-ms M]\n"
+        "                      [--threads N]\n"
         "       existctl dump-flight [<manifest>...] [--shards N]\n"
         "                      [--threads N]\n"
         "       (any trace form also takes --self-trace FILE)\n",
@@ -493,6 +490,13 @@ cmdTrace(int argc, char **argv)
     if (!wal_dir.empty() && !std::filesystem::is_directory(wal_dir, ec) &&
         !std::filesystem::create_directories(wal_dir, ec))
         badValue("--wal", wal_dir.c_str(), "a directory it can create");
+    // A new run admits its requests under ids 1..4 again, so it must
+    // not append to an existing log (that is `existctl recover`'s job).
+    if (!wal_dir.empty() &&
+        (!durability::Wal::listSegments(wal_dir).empty() ||
+         !durability::listSnapshots(wal_dir).empty()))
+        badValue("--wal", wal_dir.c_str(),
+                 "a directory holding no WAL or snapshot");
     if (!wal_dir.empty() || shards > 0)
         return traceCluster(req, shards, threads, wal_dir,
                             snapshot_interval, crash_at);
@@ -619,23 +623,16 @@ cmdCluster(int argc, char **argv)
     return 0;
 }
 
-/** The argv of metrics, top and dump-flight: optional manifests plus
- *  --shards N and --threads N, and for top (`redraw`) also
- *  --iterations N and --interval-ms M. */
-struct DemoArgs {
+/** Parse the argv of metrics, top and dump-flight — optional
+ *  manifests plus --shards N and --threads N — then reconcile its
+ *  manifests (if any) on the demo cluster so the view has live
+ *  traffic behind it. */
+void
+reconcileDemoArgs(int argc, char **argv)
+{
     std::vector<TraceRequest> requests;
     int shards = 0;
     int threads = 0;
-    int iterations = 1;
-    int interval_ms = 500;
-};
-
-/** Parse a DemoArgs argv, then reconcile its manifests (if any) on
- *  the demo cluster so the view has live traffic behind it. */
-DemoArgs
-reconcileDemoArgs(int argc, char **argv, bool redraw)
-{
-    DemoArgs a;
     for (int i = 0; i < argc; ++i) {
         std::string arg = argv[i];
         auto next = [&]() -> const char * {
@@ -647,57 +644,43 @@ reconcileDemoArgs(int argc, char **argv, bool redraw)
             return argv[++i];
         };
         if (arg == "--threads")
-            a.threads = intArg(arg, next(), 0);
+            threads = intArg(arg, next(), 0);
         else if (arg == "--shards")
-            a.shards = intArg(arg, next(), 0);
-        else if (redraw && arg == "--iterations")
-            a.iterations = intArg(arg, next(), 1);
-        else if (redraw && arg == "--interval-ms")
-            a.interval_ms = intArg(arg, next(), 0);
+            shards = intArg(arg, next(), 0);
         else
-            a.requests.push_back(manifestArg(argv[i]));
+            requests.push_back(manifestArg(argv[i]));
     }
-    if (!a.requests.empty()) {
-        int used = reconcileDemoRequests(a.requests, a.shards, a.threads);
+    if (!requests.empty()) {
+        int used = reconcileDemoRequests(requests, shards, threads);
         note("existctl", "reconciled %zu requests on %d shards",
-             a.requests.size(), used);
+             requests.size(), used);
     }
-    return a;
 }
 
 int
 cmdMetrics(int argc, char **argv)
 {
-    reconcileDemoArgs(argc, argv, /*redraw=*/false);
+    reconcileDemoArgs(argc, argv);
     std::printf("%s\n", metrics::Registry::global().toJson().c_str());
     return 0;
 }
 
-/** `top`: the metrics registry as one sorted table, optionally
- *  redrawn N times — a poor man's `top` over the control plane. */
+/** `top`: the metrics registry as one sorted table. */
 int
 cmdTop(int argc, char **argv)
 {
-    DemoArgs a = reconcileDemoArgs(argc, argv, /*redraw=*/true);
-    metrics::Registry &reg = metrics::Registry::global();
-    for (int it = 0; it < a.iterations; ++it) {
-        if (it > 0) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(a.interval_ms));
-            std::printf("\n");
-        }
-        TableWriter table({"Metric", "Type", "Value"});
-        for (const metrics::Registry::Sample &s : reg.samples())
-            table.row({s.name, s.type, s.value});
-        table.print();
-        // The observability plane's own health, as telemetry.
-        note("existctl",
-             "obs: %llu span events across %llu threads "
-             "(%llu dropped)",
-             (unsigned long long)obs::eventsRecorded(),
-             (unsigned long long)obs::threadsRegistered(),
-             (unsigned long long)obs::threadsDropped());
-    }
+    reconcileDemoArgs(argc, argv);
+    TableWriter table({"Metric", "Type", "Value"});
+    for (const metrics::Registry::Sample &s :
+         metrics::Registry::global().samples())
+        table.row({s.name, s.type, s.value});
+    table.print();
+    // The observability plane's own health, as telemetry.
+    note("existctl",
+         "obs: %llu span events across %llu threads (%llu dropped)",
+         (unsigned long long)obs::eventsRecorded(),
+         (unsigned long long)obs::threadsRegistered(),
+         (unsigned long long)obs::threadsDropped());
     return 0;
 }
 
@@ -706,7 +689,7 @@ cmdTop(int argc, char **argv)
 int
 cmdDumpFlight(int argc, char **argv)
 {
-    reconcileDemoArgs(argc, argv, /*redraw=*/false);
+    reconcileDemoArgs(argc, argv);
     std::fputs(obs::flightDumpText(64).c_str(), stdout);
     return 0;
 }
