@@ -94,13 +94,16 @@ TraceAgent::sendBatch(std::uint64_t stream_id, Stream &s,
                     static_cast<std::uint32_t>(b.retries));
     obs::simFlowBegin("collect.batch", obs_corr, queue_->now(),
                       static_cast<std::uint32_t>(node_));
-    fabric_->send(node_, collector_, net::encodeFrame(msg));
+    const Cycles departs =
+        fabric_->send(node_, collector_, net::encodeFrame(msg));
     if (b.retries == 0)
         stats_.batches_sent += 1;
     else
         stats_.retransmits += 1;
-    b.timer = queue_->scheduleAfter(
-        rtoAfter(b.retries),
+    // The RTO runs from the moment the batch leaves the NIC: a full
+    // window queues behind itself for longer than the initial RTO.
+    b.timer = queue_->schedule(
+        departs + rtoAfter(b.retries),
         [this, stream_id, seq]() { onBatchTimeout(stream_id, seq); });
 }
 
@@ -169,9 +172,10 @@ TraceAgent::sendFinale(std::uint64_t stream_id, Stream &s)
                     batchCorr(node_, stream_id, net::kFinaleSeq),
                     queue_->now(), static_cast<std::uint32_t>(node_),
                     static_cast<std::uint32_t>(s.finale_retries));
-    fabric_->send(node_, collector_, net::encodeFrame(msg));
-    s.finale_timer = queue_->scheduleAfter(
-        rtoAfter(s.finale_retries),
+    const Cycles departs =
+        fabric_->send(node_, collector_, net::encodeFrame(msg));
+    s.finale_timer = queue_->schedule(
+        departs + rtoAfter(s.finale_retries),
         [this, stream_id]() { onFinaleTimeout(stream_id); });
 }
 

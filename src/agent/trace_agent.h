@@ -12,8 +12,9 @@
  *
  *   send    in sequence order under that rule; every ack may widen
  *           the credit horizon and frees a window slot
- *   retry   per-batch timer; exponential backoff kRtoInitialUs * 2^n
- *           capped at kRtoMaxUs; ack cancels the timer
+ *   retry   per-batch timer from when the batch leaves the NIC;
+ *           exponential backoff kRtoInitialUs * 2^n capped at
+ *           kRtoMaxUs; ack cancels the timer
  *   spill   when a batch exhausts kMaxRetries the agent degrades
  *           gracefully: it drops the stream's remaining batches and
  *           falls back to summarize-only

@@ -71,7 +71,7 @@ Fabric::logEvent(Cycles at, WireEvent::Kind kind, NodeId src,
                                   static_cast<std::uint32_t>(bytes)});
 }
 
-void
+Cycles
 Fabric::send(NodeId src, NodeId dst, std::vector<std::uint8_t> frame)
 {
     auto src_it = endpoints_.find(src);
@@ -109,7 +109,7 @@ Fabric::send(NodeId src, NodeId dst, std::vector<std::uint8_t> frame)
         logEvent(depart, WireEvent::Kind::kDrop, src, dst, frame_id,
                  frame.size());
         obs::simInstant("net.drop", obs_corr, depart, obsNode(src));
-        return;
+        return depart;
     }
 
     Cycles arrive = depart + usToCycles(spec_.link_latency_us);
@@ -137,6 +137,7 @@ Fabric::send(NodeId src, NodeId dst, std::vector<std::uint8_t> frame)
     }
     scheduleDelivery(src, dst, queue_->now(), arrive, frame_id,
                      std::move(frame));
+    return depart;
 }
 
 void

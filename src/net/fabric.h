@@ -103,9 +103,10 @@ class Fabric
      * Ship one frame. The frame serializes through `src`'s egress
      * queue at the configured bandwidth, crosses the link (latency +
      * jitter, possibly dropped / reordered / duplicated), and is
-     * delivered to `dst`'s callback via the event queue.
+     * delivered to `dst`'s callback via the event queue. Returns the
+     * cycle the frame leaves `src`'s NIC, dropped or not.
      */
-    void send(NodeId src, NodeId dst, std::vector<std::uint8_t> frame);
+    Cycles send(NodeId src, NodeId dst, std::vector<std::uint8_t> frame);
 
     const NetSpec &spec() const { return spec_; }
     const FabricStats &stats() const { return stats_; }

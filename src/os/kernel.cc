@@ -30,13 +30,32 @@ Kernel::~Kernel() = default;
 void
 Kernel::runFor(Cycles duration)
 {
-    queue_.runUntil(queue_.now() + duration);
+    runUntil(queue_.now() + duration);
 }
 
 void
 Kernel::runUntil(Cycles when)
 {
-    queue_.runUntil(when);
+    // Run slots and queued events draw their ids from one counter, so
+    // firing the smaller (time, id) of the first of each is the order
+    // one queue holding both would fire them in.
+    while (true) {
+        Core &core = firstRunSlot();
+        const EventKey ev = queue_.nextKey();
+        if (core.run_slot < ev) {
+            if (core.run_slot.when > when)
+                break;
+            queue_.advanceTo(core.run_slot.when);
+            core.run_slot = kNoRunSlot;
+            runCore(core.id);
+        } else {
+            if (ev.when == EventQueue::kMaxTime || ev.when > when)
+                break;
+            queue_.step();
+        }
+    }
+    if (queue_.now() < when)
+        queue_.advanceTo(when);
 }
 
 Process *
@@ -136,13 +155,20 @@ void
 Kernel::scheduleRun(CoreId c, Cycles when)
 {
     Core &core = cores_[static_cast<std::size_t>(c)];
-    if (core.run_scheduled)
+    if (core.run_slot.id != kInvalidEvent)
         return;
-    core.run_scheduled = true;
-    queue_.schedule(std::max(when, queue_.now()), [this, c] {
-        cores_[static_cast<std::size_t>(c)].run_scheduled = false;
-        runCore(c);
-    });
+    core.run_slot =
+        EventKey{std::max(when, queue_.now()), queue_.reserveId()};
+}
+
+Kernel::Core &
+Kernel::firstRunSlot()
+{
+    Core *first = &cores_.front();
+    for (Core &core : cores_)
+        if (core.run_slot < first->run_slot)
+            first = &core;
+    return *first;
 }
 
 void
@@ -314,8 +340,10 @@ Kernel::runCore(CoreId c)
     const std::uint64_t cr3 = t->process().cr3();
     CoreTracer &tracer = *core.tracer;
 
+    // Clip at the node's next event: a queued one or any run slot.
     Cycles slice_end = std::min(core.quantum_end, now + costs::kMaxSlice);
-    Cycles next_ev = queue_.nextTime();
+    Cycles next_ev =
+        std::min(queue_.nextTime(), firstRunSlot().run_slot.when);
     if (next_ev != EventQueue::kMaxTime && next_ev > now)
         slice_end = std::min(slice_end, next_ev);
 

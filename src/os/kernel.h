@@ -9,7 +9,10 @@
  * ExecutionContext in bounded slices between event-queue visits, so
  * virtual time on every core stays within costs::kMaxSlice of the
  * global clock while block events (and thus trace packets) retain exact
- * per-branch fidelity.
+ * per-branch fidelity. A core's next slice is its run slot, a (time, id)
+ * key whose id comes from the event queue's counter; runUntil fires
+ * slots and queued events in one (time, id) order, so a slice costs no
+ * queue round trip and fires exactly where a queued event would.
  */
 #ifndef EXIST_OS_KERNEL_H
 #define EXIST_OS_KERNEL_H
@@ -94,6 +97,8 @@ class Kernel
     Kernel &operator=(const Kernel &) = delete;
 
     // --- Time & simulation control --------------------------------------
+    /** Schedule against it; move time only through runFor/runUntil,
+     *  which also fire the cores' run slots. */
     EventQueue &queue() { return queue_; }
     Cycles now() const { return queue_.now(); }
     /** Advance the simulation by `duration`. */
@@ -163,6 +168,9 @@ class Kernel
     std::uint64_t totalContextSwitches() const { return total_switches_; }
 
   private:
+    static constexpr EventKey kNoRunSlot{EventQueue::kMaxTime,
+                                         kInvalidEvent};
+
     struct Core {
         CoreId id = 0;
         Thread *current = nullptr;
@@ -172,13 +180,16 @@ class Kernel
         Cycles busy = 0;
         Cycles kernel_cycles = 0;
         Cycles pending_interrupt = 0;
-        bool run_scheduled = false;
+        /** Next slice, fired by runUntil; kNoRunSlot while none is due. */
+        EventKey run_slot = kNoRunSlot;
         /** Local time cursor (>= queue time while a slice runs). */
         Cycles cursor = 0;
         Cycles last_switch_in = 0;
     };
 
     void scheduleRun(CoreId c, Cycles when);
+    /** The core whose run slot fires first (any core when none is due). */
+    Core &firstRunSlot();
     void runCore(CoreId c);
     void dispatch(Core &core, Cycles now);
     void contextSwitch(Core &core, Thread *next, Cycles now);

@@ -1,7 +1,5 @@
 #include "sim/event_queue.h"
 
-#include <algorithm>
-
 namespace exist {
 
 bool
@@ -18,17 +16,28 @@ EventQueue::isCancelled(EventId id)
 void
 EventQueue::popDead()
 {
-    while (!heap_.empty() && isCancelled(heap_.top().id)) {
-        heap_.pop();
+    if (cancelled_.empty())
+        return;
+    while (!heap_.empty() && isCancelled(heap_.front().key.id)) {
+        std::pop_heap(heap_.begin(), heap_.end(), firesLater);
+        heap_.pop_back();
         --live_;
     }
 }
 
-Cycles
-EventQueue::nextTime()
+EventKey
+EventQueue::nextKey()
 {
     popDead();
-    return heap_.empty() ? kMaxTime : heap_.top().when;
+    return heap_.empty() ? EventKey{kMaxTime, kInvalidEvent}
+                         : heap_.front().key;
+}
+
+void
+EventQueue::advanceTo(Cycles when)
+{
+    EXIST_ASSERT(when >= now_, "event queue time went backwards");
+    now_ = when;
 }
 
 bool
@@ -37,13 +46,11 @@ EventQueue::step()
     popDead();
     if (heap_.empty())
         return false;
-    // priority_queue::top() is const; the callback must be moved out
-    // before pop, so copy the entry (callbacks are cheap shared state).
-    Entry e = heap_.top();
-    heap_.pop();
+    std::pop_heap(heap_.begin(), heap_.end(), firesLater);
+    Entry e = std::move(heap_.back());
+    heap_.pop_back();
     --live_;
-    EXIST_ASSERT(e.when >= now_, "event queue time went backwards");
-    now_ = e.when;
+    advanceTo(e.key.when);
     e.cb();
     return true;
 }

@@ -2,16 +2,20 @@
  * @file
  * Discrete-event engine for the EXIST node simulation.
  *
- * The queue orders callbacks by (time, insertion sequence), so events
- * scheduled for the same cycle fire in FIFO order, which keeps the
- * simulation deterministic.
+ * The queue orders callbacks by (time, id), where ids come from one
+ * counter in scheduling order, so events scheduled for the same cycle
+ * fire in FIFO order, which keeps the simulation deterministic. An
+ * owner may fire events of its own against the same order: it takes
+ * their ids from reserveId() and sorts them against nextKey() (the
+ * node kernel's per-core run slots, os/kernel.h).
  */
 #ifndef EXIST_SIM_EVENT_QUEUE_H
 #define EXIST_SIM_EVENT_QUEUE_H
 
+#include <algorithm>
+#include <compare>
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "util/logging.h"
@@ -22,6 +26,14 @@ namespace exist {
 /** Handle used to cancel a scheduled event. */
 using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEvent = 0;
+
+/** Where an event sorts: by time, then by id (scheduling order). */
+struct EventKey {
+    Cycles when;
+    EventId id;
+
+    auto operator<=>(const EventKey &) const = default;
+};
 
 /**
  * Time-ordered queue of callbacks. A thin core that higher layers (the
@@ -41,8 +53,9 @@ class EventQueue
     {
         EXIST_ASSERT(when >= now_, "scheduling into the past: %llu < %llu",
                      (unsigned long long)when, (unsigned long long)now_);
-        EventId id = ++next_id_;
-        heap_.push(Entry{when, id, std::move(cb)});
+        EventId id = reserveId();
+        heap_.push_back(Entry{{when, id}, std::move(cb)});
+        std::push_heap(heap_.begin(), heap_.end(), firesLater);
         ++live_;
         return id;
     }
@@ -53,6 +66,13 @@ class EventQueue
     {
         return schedule(now_ + delay, std::move(cb));
     }
+
+    /**
+     * Take the next id from the counter schedule() draws from, queuing
+     * nothing: the caller fires that event itself, in (time, id) order
+     * against nextKey().
+     */
+    EventId reserveId() { return ++next_id_; }
 
     /** Cancel an event; a no-op if it has already fired. */
     void
@@ -65,8 +85,16 @@ class EventQueue
     /** True when no live events remain. */
     bool empty() const { return live_ == 0; }
 
+    /** Key of the next pending event; {kMaxTime, kInvalidEvent} when
+     *  empty. */
+    EventKey nextKey();
+
     /** Time of the next pending event (kMaxTime when empty). */
-    Cycles nextTime();
+    Cycles nextTime() { return nextKey().when; }
+
+    /** Move the clock to `when` (>= now), firing nothing: the caller's
+     *  own event is due then, or nothing is due before it. */
+    void advanceTo(Cycles when);
 
     /** Fire a single event; returns false if the queue is empty. */
     bool step();
@@ -81,21 +109,21 @@ class EventQueue
 
   private:
     struct Entry {
-        Cycles when;
-        EventId id;
+        EventKey key;
         Callback cb;
-
-        bool
-        operator>(const Entry &o) const
-        {
-            return when != o.when ? when > o.when : id > o.id;
-        }
     };
+
+    /** Heap order: the next event to fire sits at the front. */
+    static bool
+    firesLater(const Entry &a, const Entry &b)
+    {
+        return a.key > b.key;
+    }
 
     bool isCancelled(EventId id);
     void popDead();
 
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
+    std::vector<Entry> heap_;
     std::vector<EventId> cancelled_;
     Cycles now_ = 0;
     EventId next_id_ = kInvalidEvent;

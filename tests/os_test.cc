@@ -248,5 +248,48 @@ TEST(Kernel, MigrationsAreCounted)
     EXPECT_GT(total.context_switches, 20u);
 }
 
+TEST(Kernel, TimerAndRunSlotAtOneCycleFireInScheduleOrder)
+{
+    for (bool timer_first : {true, false}) {
+        NodeConfig cfg;
+        cfg.num_cores = 1;
+        Kernel kernel(cfg);
+        Process *p = kernel.createProcess("ex", binary("ex"), {0});
+        Thread *t = kernel.createThread(p, nullptr);
+        kernel.runFor(usToCycles(4.0));
+        const Cycles at = kernel.now();
+        // The core dispatches its thread when its run slot fires, so
+        // the timer sees it running only if the slot fired first.
+        bool core_ran = false;
+        auto timer = [&] { core_ran = kernel.runningOn(0) != nullptr; };
+        if (timer_first) {
+            kernel.setTimer(at, timer);
+            kernel.startThread(t);  // the run slot, due at `at` too
+        } else {
+            kernel.startThread(t);
+            kernel.setTimer(at, timer);
+        }
+        kernel.runFor(1);
+        EXPECT_EQ(core_ran, !timer_first) << "timer_first=" << timer_first;
+        EXPECT_EQ(kernel.runningOn(0), t);
+    }
+}
+
+TEST(Kernel, RunForLeavesTheClockAtTheRequestedCycle)
+{
+    NodeConfig cfg;
+    cfg.num_cores = 1;
+    Kernel kernel(cfg);
+    Process *p = kernel.createProcess("om", binary("om"), {0});
+    kernel.startThread(kernel.createThread(p, nullptr));
+    for (Cycles i = 1; i <= 40; ++i) {
+        kernel.runFor(usToCycles(1.0));
+        EXPECT_EQ(kernel.now(), i * usToCycles(1.0));
+    }
+    // Slices outran the clock: the core's next run slot lay beyond
+    // every cycle runFor stopped at.
+    EXPECT_GT(kernel.coreBusyCycles(0), kernel.now());
+}
+
 }  // namespace
 }  // namespace exist

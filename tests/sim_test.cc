@@ -115,5 +115,30 @@ TEST(EventQueue, EmptyAfterDrain)
     EXPECT_FALSE(q.step());
 }
 
+/** Counts its copies; moving it counts nothing. */
+struct CopyCounter {
+    int *copies;
+    explicit CopyCounter(int *c) : copies(c) {}
+    CopyCounter(const CopyCounter &o) : copies(o.copies) { ++*copies; }
+    CopyCounter(CopyCounter &&) noexcept = default;
+};
+
+TEST(EventQueue, FiringMovesTheCallback)
+{
+    EventQueue q;
+    int copies = 0;
+    int fired = 0;
+    // Out of time order, so the heap moves entries past each other.
+    for (int i = 0; i < 8; ++i)
+        q.schedule(static_cast<Cycles>(8 - i),
+                   [c = CopyCounter(&copies), &fired] {
+                       (void)c;
+                       ++fired;
+                   });
+    q.run();
+    EXPECT_EQ(fired, 8);
+    EXPECT_EQ(copies, 0);
+}
+
 }  // namespace
 }  // namespace exist

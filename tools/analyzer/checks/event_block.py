@@ -5,7 +5,8 @@ by single-threaded executors: sim/EventQueue callbacks and CommitLog
 sequenced actions. A blocking primitive reachable from either stalls
 every later event / every later sequence number, so the ban is on the
 *reachability*, not the primitive: the pass roots a BFS at every
-lambda handed to EventQueue::schedule{,After} or CommitLog::commit
+lambda handed to EventQueue::schedule{,After} or CommitLog::commit,
+and at the named event-loop entry points in NAMED_EVENT_ROOTS
 (following std::function callback slots and nested lambdas, but not
 ThreadPool tasks, which run on worker threads) and reports:
 
@@ -51,6 +52,11 @@ BLOCKING_CALL_TAILS = {
     "usleep", "nanosleep", "join", "wait_for", "wait_until", "wait",
 }
 
+# Event-loop entry points that no schedule{,After} lambda leads to:
+# the node kernel fires each core's run slot by calling runCore from
+# its own loop (Kernel::runUntil), interleaved with the queue's events.
+NAMED_EVENT_ROOTS = ("Kernel::runCore",)
+
 KIND_DESC = {
     "condvar-wait": "condition-variable wait",
     "sleep": "sleep",
@@ -75,6 +81,11 @@ def _tail(callee: str) -> str:
         if sep in callee:
             callee = callee.rsplit(sep, 1)[-1]
     return callee
+
+
+def _named_root(qname: str) -> bool:
+    return any(qname == r or qname.endswith("::" + r)
+               for r in NAMED_EVENT_ROOTS)
 
 
 def _slow_mutexes(index) -> dict[str, tuple]:
@@ -149,7 +160,7 @@ def _span_hot_path_findings(index) -> list[Finding]:
 def run(index) -> list[Finding]:
     findings_obs = _span_hot_path_findings(index)
     roots = [q for q, f in index.functions.items()
-             if f.context in (CTX_EVENT, CTX_COMMIT)]
+             if f.context in (CTX_EVENT, CTX_COMMIT) or _named_root(q)]
     if not roots:
         return findings_obs
     reach = index.reachable_from(roots)
@@ -162,7 +173,8 @@ def run(index) -> list[Finding]:
         f = index.functions[q]
         ctx = index.functions[path[0]].context
         where = ("EventQueue callback" if ctx == CTX_EVENT
-                 else "CommitLog action")
+                 else "CommitLog action" if ctx == CTX_COMMIT
+                 else "core run slot")
         for b in f.blocks:
             key = (f.file, b.line, "event-blocking-call")
             if key in seen:
