@@ -37,6 +37,13 @@ struct StepResult {
  * Per-thread architectural execution state. Deterministic in
  * (program, seed); forked seeds give each thread an independent but
  * reproducible path through the CFG.
+ *
+ * Conditional and indirect outcomes depend on the program phase, a
+ * sine of the instruction count. Most draws are decided without it:
+ * the context keeps the phase at an anchor and bounds how far it can
+ * have moved since, and only a draw whose outcome differs across that
+ * band evaluates the sine (DESIGN.md §2, "Decision-exact phase
+ * draws").
  */
 class ExecutionContext
 {
@@ -54,9 +61,11 @@ class ExecutionContext
         if (program->profile().phase_insns > 0.0 &&
             program->profile().phase_strength > 0.0) {
             phase_period_ = program->profile().phase_insns;
-            phase_strength_ = program->profile().phase_strength;
+            half_strength_ = 0.5 * program->profile().phase_strength;
             phase_origin_ = rng_.uniform();  // runs start mid-phase
+            phase_rate_ = kTwoPi / phase_period_;
         }
+        exactPhase();
     }
 
     /** Execute the current block; advances to the branch target. */
@@ -72,10 +81,15 @@ class ExecutionContext
         std::uint32_t target;
         switch (b.kind) {
           case BranchKind::kConditional: {
-            double p = static_cast<double>(b.prob_taken_x1e4) * 1e-4;
-            p = std::clamp(p + 0.5 * phase_strength_ * phase(), 0.02,
-                           0.98);
-            rec.taken = rng_.uniform() < p;
+            const double p = static_cast<double>(b.prob_taken_x1e4) * 1e-4;
+            const double u = rng_.uniform();
+            const PhaseBand band = phaseBand();
+            if (u < takenProb(p, band.lo))
+                rec.taken = true;
+            else if (u >= takenProb(p, band.hi))
+                rec.taken = false;
+            else
+                rec.taken = u < takenProb(p, exactPhase());
             target = rec.taken ? b.target0 : b.target1;
             break;
           }
@@ -87,11 +101,11 @@ class ExecutionContext
             target = b.target0;
             break;
           case BranchKind::kIndirectJump:
-            target = prog_->resolveIndirect(b, phasedUniform());
+            target = indirectTarget(b);
             break;
           case BranchKind::kIndirectCall:
             pushReturn(b.target1);
-            target = prog_->resolveIndirect(b, phasedUniform());
+            target = indirectTarget(b);
             break;
           case BranchKind::kReturn:
             if (stack_.empty()) {
@@ -132,8 +146,23 @@ class ExecutionContext
     const ProgramBinary &program() const { return *prog_; }
     std::size_t callDepth() const { return stack_.size(); }
 
+    /** How this context's phase-dependent draws were decided. */
+    struct PhaseDrawStats {
+        /** phase() evaluations: anchor refreshes plus the draws the
+         *  anchor's band left open. */
+        std::uint64_t sines = 0;
+        /** Indirect draws whose band crossed the [0,1) wrap. */
+        std::uint64_t wrap_straddles = 0;
+    };
+    const PhaseDrawStats &phaseDrawStats() const { return stats_; }
+
   private:
     static constexpr std::size_t kMaxStackDepth = 96;
+    static constexpr double kTwoPi = 6.28318530717958647692;
+    /** Instructions an anchor serves before it is refreshed. */
+    static constexpr std::uint64_t kAnchorSpan = 16000;
+    /** Covers sin()'s own error at both ends of the band. */
+    static constexpr double kPhaseSlack = 1e-9;
 
     /** Current phase position in [-1, 1]. */
     double
@@ -143,17 +172,76 @@ class ExecutionContext
             return 0.0;
         double t = static_cast<double>(insns_total_) / phase_period_ +
                    phase_origin_;
-        return std::sin(6.28318530717958647692 * t);
+        return std::sin(kTwoPi * t);
     }
 
-    /** Uniform draw skewed by the phase: shifts which entries of an
-     *  indirect-target table are favoured as phases change. */
+    /** phase(), kept as the anchor the bands of later draws grow from. */
     double
-    phasedUniform()
+    exactPhase()
     {
-        double u = rng_.uniform() + 0.5 * phase_strength_ * phase();
-        u -= std::floor(u);
-        return u;
+        ++stats_.sines;
+        anchor_phase_ = phase();
+        anchor_insns_ = insns_total_;
+        // The rounding of phase()'s argument grows with its magnitude
+        // (a few ulps of 2*pi*t); bound it at the far end of the span.
+        anchor_slack_ =
+            kPhaseSlack +
+            0x1p-48 * (phase_rate_ * static_cast<double>(
+                                         anchor_insns_ + kAnchorSpan) +
+                       kTwoPi);
+        return anchor_phase_;
+    }
+
+    /** An interval that holds phase() at the current instruction
+     *  count: |sin x - sin y| <= |x - y|, so the phase moves at most
+     *  2*pi/phase_period per instruction from the anchor. */
+    struct PhaseBand {
+        double lo;
+        double hi;
+    };
+    PhaseBand
+    phaseBand()
+    {
+        if (insns_total_ - anchor_insns_ > kAnchorSpan)
+            exactPhase();
+        const double d =
+            static_cast<double>(insns_total_ - anchor_insns_) *
+                phase_rate_ +
+            anchor_slack_;
+        return {anchor_phase_ - d, anchor_phase_ + d};
+    }
+
+    /** A conditional branch's taken probability at phase `ph`;
+     *  non-decreasing in `ph` under IEEE rounding. */
+    double
+    takenProb(double p, double ph) const
+    {
+        return std::clamp(p + half_strength_ * ph, 0.02, 0.98);
+    }
+
+    /** An indirect transfer's target. The draw is skewed by the phase
+     *  and wrapped into [0,1), which shifts which table entries are
+     *  favoured as phases change. The skewed draw and the entry it
+     *  selects are non-decreasing in the phase, so when both ends of
+     *  the band wrap alike and select one entry, so does the phase. */
+    std::uint32_t
+    indirectTarget(const BasicBlock &b)
+    {
+        const double u = rng_.uniform();
+        const PhaseBand band = phaseBand();
+        const double lo = u + half_strength_ * band.lo;
+        const double hi = u + half_strength_ * band.hi;
+        const double wrap = std::floor(lo);
+        if (wrap == std::floor(hi)) {
+            const std::uint32_t e = prog_->indirectEntry(b, lo - wrap);
+            if (e == prog_->indirectEntry(b, hi - wrap))
+                return prog_->indirectTargets()[e].block;
+        } else {
+            ++stats_.wrap_straddles;
+        }
+        double v = u + half_strength_ * exactPhase();
+        v -= std::floor(v);
+        return prog_->indirectTargets()[prog_->indirectEntry(b, v)].block;
     }
 
     void
@@ -172,8 +260,13 @@ class ExecutionContext
     double insns_until_syscall_ = 0.0;
     std::uint64_t insns_total_ = 0;
     double phase_period_ = 0.0;
-    double phase_strength_ = 0.0;
     double phase_origin_ = 0.0;
+    double half_strength_ = 0.0;  ///< half the profile's phase_strength
+    double phase_rate_ = 0.0;     ///< radians of phase per instruction
+    double anchor_phase_ = 0.0;
+    std::uint64_t anchor_insns_ = 0;
+    double anchor_slack_ = 0.0;
+    PhaseDrawStats stats_;
 };
 
 }  // namespace exist

@@ -287,7 +287,7 @@ ProgramBinary::blockAtAddress(std::uint64_t addr) const
 }
 
 std::uint32_t
-ProgramBinary::resolveIndirect(const BasicBlock &b, double u) const
+ProgramBinary::indirectEntry(const BasicBlock &b, double u) const
 {
     EXIST_ASSERT(b.itable_count > 0, "indirect block without targets");
     const auto begin = indirect_targets_.begin() + b.itable_begin;
@@ -299,7 +299,7 @@ ProgramBinary::resolveIndirect(const BasicBlock &b, double u) const
         });
     if (it == end)
         --it;
-    return it->block;
+    return static_cast<std::uint32_t>(it - indirect_targets_.begin());
 }
 
 }  // namespace exist

@@ -115,9 +115,10 @@ class ProgramBinary
      *  Used by the decoder to resolve TIP payloads. */
     std::uint32_t blockAtAddress(std::uint64_t addr) const;
 
-    /** Resolve the target of an indirect transfer given a uniform draw
-     *  in [0,1). Shared by the execution engine (with RNG) and tests. */
-    std::uint32_t resolveIndirect(const BasicBlock &b, double u) const;
+    /** The entry of `b`'s indirect-target table a uniform draw `u` in
+     *  [0,1] selects, as an index into indirectTargets(). Non-decreasing
+     *  in `u`; two entries may name one block. */
+    std::uint32_t indirectEntry(const BasicBlock &b, double u) const;
 
   private:
     ProgramBinary() = default;

@@ -10,7 +10,9 @@ Checks the properties the observability PR promises (DESIGN.md §14):
   - duration events balance: every "B" has a matching "E" per
     (pid, tid), with proper nesting;
   - flow links pair up: every flow id with an "s" also has an "f";
-  - process/thread metadata names the pids/tids that carry events.
+  - process/thread metadata names the pids/tids that carry events;
+  - each ``--nested PARENT/CHILD`` span opens at least once while its
+    PARENT is open on the same thread.
 
 Exit status 0 when all hold, 1 with a diagnostic otherwise.
 """
@@ -29,6 +31,9 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("trace", help="self-trace JSON file")
     ap.add_argument("--min-categories", type=int, default=8)
+    ap.add_argument("--nested", action="append", default=[],
+                    metavar="PARENT/CHILD",
+                    help="require a CHILD span opened inside PARENT")
     args = ap.parse_args()
 
     with open(args.trace, "r", encoding="utf-8") as f:
@@ -45,6 +50,7 @@ def main():
     named_tids = set()
     event_pids = set()
     event_tids = set()
+    nested = set()
 
     for e in events:
         ph = e.get("ph")
@@ -61,6 +67,8 @@ def main():
             cats.add(e["cat"])
         pids.add(pid)
         if ph == "B":
+            for parent in open_stacks[(pid, tid)]:
+                nested.add("%s/%s" % (parent, e.get("name")))
             open_stacks[(pid, tid)].append(e.get("name"))
         elif ph == "E":
             stack = open_stacks[(pid, tid)]
@@ -77,6 +85,11 @@ def main():
     for fid, phases in flows.items():
         if phases != {"s", "f"}:
             return fail("flow %s has only %s" % (fid, sorted(phases)))
+
+    for want in args.nested:
+        if want not in nested:
+            parent, _, child = want.partition("/")
+            return fail("no %s span inside %s" % (child, parent))
 
     if len(cats) < args.min_categories:
         return fail("only %d categories (%s); need >= %d"

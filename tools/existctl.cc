@@ -86,7 +86,9 @@
  * concurrency; --threads 1 is the fully serial path). The output is
  * bit-identical at any thread or shard count — they only change wall
  * time. Every command takes --threads and --shards values as integers
- * >= 0, where 0 keeps the default.
+ * >= 0, where 0 keeps the default, and at most kMaxParallelism (256).
+ * --cores takes at most kMaxCores (256) and --clients at most
+ * kMaxClients (1024).
  *
  * Bad input is rejected before anything runs: a malformed manifest, an
  * unknown app or backend, or a flag value that is not all number and
@@ -192,6 +194,14 @@ printReports(ShardedMaster &master, const std::vector<std::uint64_t> &ids)
                 master.oss().objectCount(), master.odps().rowCount());
 }
 
+/** Upper bounds on the count flags. Each sits far above every in-tree
+ *  use (16 simulated cores, 12 clients, 4 threads or shards), and keeps
+ *  one argv value from asking the pool for that many OS threads or the
+ *  simulator for a node of that size. */
+constexpr int kMaxParallelism = 256;  ///< --threads, --shards
+constexpr int kMaxCores = 256;        ///< --cores
+constexpr int kMaxClients = 1024;     ///< --clients
+
 /** Reject a bad flag value the way a missing one is: one stderr
  *  line and exit 2, before anything has run. */
 [[noreturn]] void
@@ -202,11 +212,12 @@ badValue(const std::string &flag, const char *text, const char *want)
     std::exit(2);
 }
 
-/** All of `text` as an integer >= `min` (0 or 1) that fits an int,
- *  or badValue(). --threads and --shards take min 0, where 0 means
- *  the default. */
+/** All of `text` as an integer >= `min` (0 or 1) and <= `max`, or
+ *  badValue(). --threads and --shards take min 0, where 0 means the
+ *  default. */
 int
-intArg(const std::string &flag, const char *text, int min)
+intArg(const std::string &flag, const char *text, int min,
+       int max = std::numeric_limits<int>::max())
 {
     char *end = nullptr;
     long v = std::strtol(text, &end, 10);
@@ -214,6 +225,9 @@ intArg(const std::string &flag, const char *text, int min)
         v > std::numeric_limits<int>::max())
         badValue(flag, text,
                  min == 0 ? "an integer >= 0" : "an integer >= 1");
+    if (v > max)
+        badValue(flag, text,
+                 ("an integer <= " + std::to_string(max)).c_str());
     return static_cast<int>(v);
 }
 
@@ -356,7 +370,7 @@ cmdRecover(int argc, char **argv)
     int threads = 0;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
-            threads = intArg("--threads", argv[++i], 0);
+            threads = intArg("--threads", argv[++i], 0, kMaxParallelism);
         else
             return usage();
     }
@@ -452,15 +466,15 @@ cmdTrace(int argc, char **argv)
         } else if (arg == "--backend")
             backend = next();
         else if (arg == "--cores")
-            cores = intArg(arg, next(), 1);
+            cores = intArg(arg, next(), 1, kMaxCores);
         else if (arg == "--clients")
-            clients = intArg(arg, next(), 1);
+            clients = intArg(arg, next(), 1, kMaxClients);
         else if (arg == "--report")
             report = true;
         else if (arg == "--threads")
-            threads = intArg(arg, next(), 0);
+            threads = intArg(arg, next(), 0, kMaxParallelism);
         else if (arg == "--shards")
-            shards = intArg(arg, next(), 0);
+            shards = intArg(arg, next(), 0, kMaxParallelism);
         else if (arg == "--wal")
             wal_dir = next();
         else if (arg == "--snapshot-interval")
@@ -564,11 +578,13 @@ cmdTrace(int argc, char **argv)
 
     // Synthesized from the session's own decode, the one behind the
     // coverage and Wall accuracy rows above.
-    if (report && !r.decoded.empty())
+    if (report && !r.decoded.empty()) {
+        EXIST_SPAN("report.synthesize", obs::corrId(spec.seed));
         std::printf("\n%s", BehaviorReport::synthesize(
                                 *Testbed::binaryForApp(app), r.decoded,
                                 r.switch_log)
                                 .c_str());
+    }
     return 0;
 }
 
@@ -611,7 +627,7 @@ cmdCluster(int argc, char **argv)
                 std::fputs("missing value for --threads\n", stderr);
                 return 2;
             }
-            threads = intArg("--threads", argv[++i], 0);
+            threads = intArg("--threads", argv[++i], 0, kMaxParallelism);
         } else {
             requests.push_back(manifestArg(argv[i]));
         }
@@ -644,9 +660,9 @@ reconcileDemoArgs(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--threads")
-            threads = intArg(arg, next(), 0);
+            threads = intArg(arg, next(), 0, kMaxParallelism);
         else if (arg == "--shards")
-            shards = intArg(arg, next(), 0);
+            shards = intArg(arg, next(), 0, kMaxParallelism);
         else
             requests.push_back(manifestArg(argv[i]));
     }
