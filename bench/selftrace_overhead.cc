@@ -1,24 +1,25 @@
 /**
  * @file
  * Self-observability overhead gate (DESIGN.md §14): the always-on
- * span plane must cost at most 1% of decode throughput, or it cannot
- * be always-on. Collects one loop-heavy lbm session, then decodes the
- * buffers through the instrumented ParallelDecoder path (pool.task +
- * decode.buffer spans on every unit of work) with span recording ON
- * and OFF, interleaved min-of-reps so host noise hits both modes
- * alike. Exits nonzero when the measured overhead exceeds the gate.
+ * span plane must cost at most 1% of a decode, or it cannot be
+ * always-on. Exits nonzero when it does not.
  *
- * A second section prices the raw emit path (one instant event in a
- * tight loop) in ns/event — the number that justifies "four relaxed
- * stores and a release" as the design budget.
+ * The gate prices the plane instead of timing it. One decode of a
+ * loop-heavy lbm session emits a few dozen events (the pool's
+ * parallel_for span, a pool.task span and flow per task, a
+ * decode.buffer span per buffer): about a microsecond of a
+ * millisecond-long decode, a hundred times below the noise of timing
+ * spans-on against spans-off decodes. So the gate multiplies the
+ * events one decode emitted (an exact count) by the emit path's cost
+ * in a tight loop, and divides by the spans-off decode time:
  *
- * JSON lines (prefix "JSON ") feed tools/bench_trends.py --set
- * observability -> BENCH_observability.json.
+ *     overhead = events x ns/event / spans-off decode time
+ *
+ * Both timings are the fastest of several repetitions.
  */
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <vector>
+#include <string>
 
 #include "common.h"
 #include "decode/parallel_decoder.h"
@@ -30,13 +31,27 @@ using namespace exist::bench;
 namespace {
 
 constexpr double kMaxOverheadPct = 1.0;
+constexpr int kThreads = 2;
+constexpr int kReps = 9;
+constexpr std::uint64_t kEmitsPerRep = 100'000;
 
+/** Seconds of the fastest of kReps runs of `fn`: the repetition least
+ *  polluted by scheduler noise. */
+template <typename Fn>
 double
-secondsSince(std::chrono::steady_clock::time_point t0)
+fastest(Fn &&fn)
 {
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
+    double best = 0.0;
+    for (int rep = 0; rep < kReps; ++rep) {
+        auto t0 = std::chrono::steady_clock::now();
+        fn();
+        double s = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - t0)
+                       .count();
+        if (rep == 0 || s < best)
+            best = s;
+    }
+    return best;
 }
 
 }  // namespace
@@ -44,11 +59,11 @@ secondsSince(std::chrono::steady_clock::time_point t0)
 int
 main()
 {
-    printBanner("Self-trace overhead: decode throughput with span "
-                "recording on vs off (gate: <= 1%)");
+    printBanner("Self-trace overhead: the span plane's priced cost per "
+                "decode (gate: <= 1%)");
 
     // Loop-heavy stencil profile: the decode-bound workload where any
-    // per-unit-of-work cost shows up most directly in segments/s.
+    // per-unit-of-work cost shows up most directly.
     ExperimentSpec spec = computeSpec("lbm", "EXIST", 0.4, 4);
     spec.workloads.front().workers = 4;
     spec.keep_traces = true;
@@ -64,85 +79,62 @@ main()
     for (const CollectedTrace &ct : r.raw_traces)
         bytes += ct.bytes.size();
 
-    const int threads = 2;
-    ParallelDecoder decoder(binary.get(), {}, threads);
+    // Count the events one decode emits. The decoder's pool is joined
+    // when it goes out of scope, so each worker's last span end has
+    // landed before the counter is read.
+    obs::setEnabled(true);
     std::uint64_t segments = 0;
-    for (const auto &[core, dt] : decoder.decodeAll(r.raw_traces))
-        segments += dt.segments.size();
+    const std::uint64_t events_before = obs::eventsRecorded();
+    {
+        ParallelDecoder counted(binary.get(), {}, kThreads);
+        for (const auto &[core, dt] : counted.decodeAll(r.raw_traces))
+            segments += dt.segments.size();
+    }
+    const std::uint64_t events = obs::eventsRecorded() - events_before;
     std::printf("collected %zu buffers, %.1f MB, %llu segments\n\n",
                 r.raw_traces.size(), bytes / 1048576.0,
                 (unsigned long long)segments);
-
-    // Interleave ON/OFF repetitions and keep the fastest of each:
-    // identical work every rep, so the minimum is the measurement
-    // least polluted by scheduler noise, and interleaving means a
-    // noisy stretch of the host cannot bias one mode.
-    const int kReps = 7;
-    double best_on = 0.0, best_off = 0.0;
-    for (int rep = 0; rep < kReps; ++rep) {
-        for (int mode = 0; mode < 2; ++mode) {
-            bool on = (rep + mode) % 2 == 0;
-            obs::setEnabled(on);
-            auto t0 = std::chrono::steady_clock::now();
-            decoder.decodeAll(r.raw_traces);
-            double s = secondsSince(t0);
-            double &best = on ? best_on : best_off;
-            if (best == 0.0 || s < best)
-                best = s;
-        }
+    if (events == 0) {
+        std::fputs("FAIL: the decode emitted no span events; there is "
+                   "nothing to price\n",
+                   stderr);
+        return 1;
     }
-    obs::setEnabled(true);
 
-    double thr_on = static_cast<double>(segments) / best_on;
-    double thr_off = static_cast<double>(segments) / best_off;
-    double overhead_pct = 100.0 * (best_on - best_off) / best_off;
+    // The emit path's cost: instant events in a tight loop.
+    double emit_s = fastest([] {
+        for (std::uint64_t i = 0; i < kEmitsPerRep; ++i)
+            obs::instant("selftrace_overhead.emit", i, i);
+    });
+    double ns_per_event = emit_s * 1e9 / static_cast<double>(kEmitsPerRep);
+
+    // The decode the events ride on, with span recording off.
+    obs::setEnabled(false);
+    ParallelDecoder decoder(binary.get(), {}, kThreads);
+    decoder.decodeAll(r.raw_traces);  // warm caches and memo pool
+    double off_s = fastest([&] { decoder.decodeAll(r.raw_traces); });
+
+    double span_ns = static_cast<double>(events) * ns_per_event;
+    double overhead_pct = 100.0 * span_ns * 1e-9 / off_s;
     bool pass = overhead_pct <= kMaxOverheadPct;
 
-    TableWriter table({"Spans", "Time(ms)", "Segments/s", "Overhead"});
-    table.row({"off", TableWriter::num(best_off * 1e3),
-               TableWriter::num(thr_off, 0), "-"});
-    table.row({"on", TableWriter::num(best_on * 1e3),
-               TableWriter::num(thr_on, 0),
-               TableWriter::num(overhead_pct, 2) + "%"});
+    TableWriter table({"Threads", "Events", "ns/event", "Cost(us)",
+                       "Decode(ms)", "Overhead"});
+    table.row({std::to_string(kThreads), std::to_string(events),
+               TableWriter::num(ns_per_event, 1),
+               TableWriter::num(span_ns * 1e-3),
+               TableWriter::num(off_s * 1e3),
+               TableWriter::num(overhead_pct, 3) + "%"});
     table.print();
-    std::printf("JSON {\"bench\":\"selftrace_overhead\","
-                "\"mode\":\"decode\",\"app\":\"lbm\",\"threads\":%d,"
-                "\"segments\":%llu,\"bytes\":%llu,"
-                "\"off_seconds\":%.6f,\"on_seconds\":%.6f,"
-                "\"segments_per_sec_on\":%.1f,"
-                "\"segments_per_sec_off\":%.1f,"
-                "\"overhead_pct\":%.3f,\"gate_pct\":%.1f,"
-                "\"pass\":%s}\n",
-                threads, (unsigned long long)segments,
-                (unsigned long long)bytes, best_off, best_on, thr_on,
-                thr_off, overhead_pct, kMaxOverheadPct,
-                pass ? "true" : "false");
-
-    // ------------------------------------------------------------------
-    // Raw emit cost: one instant event in a tight loop, ns/event.
-    // ------------------------------------------------------------------
-    const std::uint64_t kEvents = 2'000'000;
-    auto t0 = std::chrono::steady_clock::now();
-    for (std::uint64_t i = 0; i < kEvents; ++i)
-        obs::instant("selftrace_overhead.emit", i, i);
-    double emit_s = secondsSince(t0);
-    double ns_per_event = emit_s * 1e9 / static_cast<double>(kEvents);
-    std::printf("\nemit path: %.1f ns/event (%llu events, ring "
-                "wraps absorbed)\n",
-                ns_per_event, (unsigned long long)kEvents);
-    std::printf("JSON {\"bench\":\"selftrace_overhead\","
-                "\"mode\":\"emit\",\"events\":%llu,"
-                "\"ns_per_event\":%.2f}\n",
-                (unsigned long long)kEvents, ns_per_event);
 
     if (!pass) {
         std::fprintf(stderr,
-                     "FAIL: span overhead %.2f%% exceeds the %.1f%% "
+                     "FAIL: span overhead %.3f%% exceeds the %.1f%% "
                      "always-on budget\n",
                      overhead_pct, kMaxOverheadPct);
         return 1;
     }
-    std::printf("\nPASS: span overhead %.2f%% within the %.1f%% "
+    std::printf("\nPASS: span overhead %.3f%% within the %.1f%% "
                 "always-on budget\n",
                 overhead_pct, kMaxOverheadPct);
     return 0;

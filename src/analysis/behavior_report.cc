@@ -8,12 +8,21 @@
 
 namespace exist {
 
+namespace {
+
+/** Functions listed under "Hottest functions". */
+constexpr int kTopFunctions = 10;
+/** Flag threads whose longest off-CPU gap exceeds this (service
+ *  threads naturally park on queues for ~ms). */
+constexpr Cycles kBlockingThreshold = usToCycles(5000.0);
+
+}  // namespace
+
 std::string
 BehaviorReport::synthesize(
     const ProgramBinary &binary,
     const std::vector<std::pair<CoreId, DecodedTrace>> &cores,
-    const std::vector<SwitchRecord> &sidecar,
-    const BehaviorReportOptions &opts)
+    const std::vector<SwitchRecord> &sidecar)
 {
     std::string out;
     auto append = [&out](const char *fmt, auto... args) {
@@ -54,9 +63,7 @@ BehaviorReport::synthesize(
 
     out += "\nHottest functions:\n";
     for (int i = 0;
-         i < opts.top_functions &&
-         i < static_cast<int>(order.size());
-         ++i) {
+         i < kTopFunctions && i < static_cast<int>(order.size()); ++i) {
         std::uint32_t f = order[static_cast<std::size_t>(i)];
         if (fn_insns[f] == 0)
             break;
@@ -109,7 +116,7 @@ BehaviorReport::synthesize(
                    (unsigned long long)tt.branches,
                    cyclesToMs(tt.active_cycles),
                    cyclesToMs(tt.longest_gap),
-                   tt.longest_gap > opts.blocking_threshold
+                   tt.longest_gap > kBlockingThreshold
                        ? "  << BLOCKED"
                        : "");
         }

@@ -21,13 +21,6 @@
 
 namespace exist {
 
-struct BehaviorReportOptions {
-    int top_functions = 10;
-    /** Flag threads whose longest off-CPU gap exceeds this
-     *  (service threads naturally park on queues for ~ms). */
-    Cycles blocking_threshold = usToCycles(5000.0);
-};
-
 class BehaviorReport
 {
   public:
@@ -35,8 +28,7 @@ class BehaviorReport
     static std::string
     synthesize(const ProgramBinary &binary,
                const std::vector<std::pair<CoreId, DecodedTrace>> &cores,
-               const std::vector<SwitchRecord> &sidecar,
-               const BehaviorReportOptions &opts = {});
+               const std::vector<SwitchRecord> &sidecar);
 };
 
 }  // namespace exist

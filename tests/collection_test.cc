@@ -240,14 +240,14 @@ sessionSpec()
 }
 
 /** ISSUE 6 acceptance: a Testbed result routed through the collection
- *  plane at drop rates {0, 0.01, 0.05} + reordering is byte-identical
- *  to the in-process result at the same seed. */
+ *  plane at drop rates {0, 0.01, 0.05, 0.10} + reordering is
+ *  byte-identical to the in-process result at the same seed. */
 TEST(CollectionAcceptance, TestbedResultIdenticalAcrossDropRates)
 {
     ExperimentResult baseline = Testbed::run(sessionSpec());
     ASSERT_FALSE(baseline.raw_traces.empty());
 
-    for (double drop : {0.0, 0.01, 0.05}) {
+    for (double drop : {0.0, 0.01, 0.05, 0.10}) {
         ExperimentResult transported = Testbed::run(sessionSpec());
         net::NetSpec spec;
         spec.enabled = true;

@@ -2,13 +2,15 @@
  * @file
  * Decode fast-path equivalence (DESIGN.md §11): the BlockCache +
  * TNT-run memo must be bit-identical to the cache-off reference for
- * every memo window size, with path recording on, and across warm
- * memo-pool reuse. Also exercises one BlockCache and one TntMemoPool
- * shared by concurrent decoders — the file is part of the concurrency
- * suite so that runs under TSan.
+ * every memo window size, on a service session traced with CYC
+ * packets and on two compute sessions traced without them, with path
+ * recording on, and across warm memo-pool reuse. Also exercises one
+ * BlockCache and one TntMemoPool shared by concurrent decoders — the
+ * file is part of the concurrency suite so that runs under TSan.
  */
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -61,6 +63,25 @@ sessionTraces()
     return traces;
 }
 
+/** A short 4-core session of a compute app traced without CYC
+ *  packets: the control-flow-only configuration, whose long TNT
+ *  stretches are what the memo is for. */
+std::vector<CollectedTrace>
+cycOffTraces(const std::string &app)
+{
+    ExperimentSpec spec;
+    spec.node.num_cores = 4;
+    WorkloadSpec w{.app = app, .target = true};
+    w.workers = 4;
+    spec.workloads.push_back(std::move(w));
+    spec.backend = "EXIST";
+    spec.session.period = secondsToCycles(0.04);
+    spec.session.cyc_timing = false;
+    spec.warmup = secondsToCycles(0.03);
+    spec.keep_traces = true;
+    return Testbed::run(spec).raw_traces;
+}
+
 DecodeOptions
 offOptions()
 {
@@ -72,18 +93,36 @@ offOptions()
 
 TEST(DecodeCache, OnOffIdenticalAcrossMemoBits)
 {
-    const auto &traces = sessionTraces();
-    ASSERT_FALSE(traces.empty());
-    auto bin = Testbed::binaryForApp("mc");
-    FlowReconstructor off_rec(bin.get(), offOptions());
-    for (const CollectedTrace &ct : traces) {
-        const DecodedTrace ref = off_rec.decode(ct.bytes);
-        for (int k : {0, 1, 4, 8, 16}) {
-            DecodeOptions on;
-            on.tnt_memo_bits = k;
-            FlowReconstructor on_rec(bin.get(), on);
-            expectSameDecode(on_rec.decode(ct.bytes), ref);
+    // mc under service load with CYC on; lbm (loop-heavy: long,
+    // strongly biased TNT stretches) and ex (branchy and return-heavy,
+    // so TIPs bound the memo runs) traced without CYC. Each must also
+    // hit the memo at the default window size.
+    const std::vector<CollectedTrace> lbm = cycOffTraces("lbm");
+    const std::vector<CollectedTrace> ex = cycOffTraces("ex");
+    const struct {
+        std::string app;
+        const std::vector<CollectedTrace> *traces;
+    } inputs[] = {{"mc", &sessionTraces()}, {"lbm", &lbm}, {"ex", &ex}};
+    for (const auto &in : inputs) {
+        SCOPED_TRACE(in.app);
+        ASSERT_FALSE(in.traces->empty());
+        auto bin = Testbed::binaryForApp(in.app);
+        FlowReconstructor off_rec(bin.get(), offOptions());
+        FlowReconstructor default_rec(bin.get());
+        std::uint64_t default_hits = 0;
+        for (const CollectedTrace &ct : *in.traces) {
+            const DecodedTrace ref = off_rec.decode(ct.bytes);
+            for (int k : {0, 1, 4, 8, 16}) {
+                DecodeOptions on;
+                on.tnt_memo_bits = k;
+                FlowReconstructor on_rec(bin.get(), on);
+                expectSameDecode(on_rec.decode(ct.bytes), ref);
+            }
+            const DecodedTrace dt = default_rec.decode(ct.bytes);
+            expectSameDecode(dt, ref);
+            default_hits += dt.cache_stats.memo_hits;
         }
+        EXPECT_GT(default_hits, 0u);
     }
 }
 

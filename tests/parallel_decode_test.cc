@@ -76,7 +76,7 @@ TEST(ParallelDecode, BitIdenticalToSerialAcrossThreadCounts)
     for (const CollectedTrace &ct : r.raw_traces)
         baseline.emplace_back(ct.core, serial.decode(ct.bytes));
 
-    for (int threads : {1, 2, 8}) {
+    for (int threads : {1, 2, 4, 8}) {
         SCOPED_TRACE("threads=" + std::to_string(threads));
         ParallelDecoder dec(binary.get(), opts, threads);
         auto decoded = dec.decodeAll(r.raw_traces);
