@@ -52,6 +52,8 @@ CoreTracer::configure(const TracerConfig &cfg)
     writer_.setOutput(&output());
     writer_.setCycEnabled(cfg.cyc_en);
     writer_.setTscEnabled(cfg.tsc_en);
+    if (cache_bypass_ != cfg.cache_bypass && cost_epoch_)
+        ++*cost_epoch_;
     cache_bypass_ = cfg.cache_bypass;
     return res;
 }
@@ -77,7 +79,7 @@ CoreTracer::disable(Cycles now)
     if (packet_en_) {
         writer_.flushTnt(now);
         writer_.pgd(now);
-        packet_en_ = false;
+        setPacketEn(false);
     }
     auto w = msrs_.write(RtitMsr::kCtl,
                          msrs_.read(RtitMsr::kCtl) & ~rtit_ctl::kTraceEn);
@@ -111,8 +113,18 @@ CoreTracer::updatePacketEn(std::uint64_t cr3, bool user, std::uint64_t ip,
         writer_.flushTnt(now);
         writer_.pgd(now);
     }
-    packet_en_ = want;
+    setPacketEn(want);
     collectWriterEvents();
+}
+
+void
+CoreTracer::setPacketEn(bool on)
+{
+    if (on == packet_en_)
+        return;
+    packet_en_ = on;
+    if (cost_epoch_)
+        ++*cost_epoch_;
 }
 
 void
@@ -149,7 +161,7 @@ CoreTracer::onBranch(const BranchRecord &rec, const ProgramBinary &prog,
         // User-only tracing: leaving for the kernel disables packets.
         writer_.flushTnt(now);
         writer_.pgd(now);
-        packet_en_ = false;
+        setPacketEn(false);
         break;
     }
     // Execution now stands at the branch target: the next PSB's FUP
@@ -174,7 +186,7 @@ CoreTracer::onSyscallEntry(Cycles now)
         return;
     writer_.flushTnt(now);
     writer_.pgd(now);
-    packet_en_ = false;
+    setPacketEn(false);
     collectWriterEvents();
 }
 
@@ -205,7 +217,7 @@ CoreTracer::collectWriterEvents()
     pending_pmis_ += e.pmis;
     if (e.stopped) {
         msrs_.setStopped(true);
-        packet_en_ = false;
+        setPacketEn(false);
     }
 }
 

@@ -62,7 +62,12 @@ struct TracerControlResult {
 class CoreTracer
 {
   public:
-    explicit CoreTracer(CoreId core) : core_(core), writer_(&topa_) {}
+    /** `cost_epoch`, if set, is bumped whenever packetEn() or
+     *  cacheBypass() changes: the node kernel's CPI model reads both. */
+    explicit CoreTracer(CoreId core, std::uint64_t *cost_epoch = nullptr)
+        : core_(core), writer_(&topa_), cost_epoch_(cost_epoch)
+    {
+    }
 
     CoreId core() const { return core_; }
 
@@ -127,6 +132,7 @@ class CoreTracer
   private:
     void updatePacketEn(std::uint64_t cr3, bool user, std::uint64_t ip,
                         Cycles now);
+    void setPacketEn(bool on);
     bool contextMatch(std::uint64_t cr3, bool user) const;
     void collectWriterEvents();
 
@@ -138,6 +144,7 @@ class CoreTracer
     bool packet_en_ = false;
     int pending_pmis_ = 0;
     bool cache_bypass_ = false;
+    std::uint64_t *cost_epoch_;
 };
 
 }  // namespace exist

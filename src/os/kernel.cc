@@ -21,7 +21,7 @@ Kernel::Kernel(const NodeConfig &cfg) : cfg_(cfg), rng_(cfg.seed)
     for (int c = 0; c < cfg.num_cores; ++c) {
         cores_[static_cast<std::size_t>(c)].id = c;
         cores_[static_cast<std::size_t>(c)].tracer =
-            std::make_unique<CoreTracer>(c);
+            std::make_unique<CoreTracer>(c, &cpi_epoch_);
     }
 }
 
@@ -47,7 +47,7 @@ Kernel::runUntil(Cycles when)
                 break;
             queue_.advanceTo(core.run_slot.when);
             core.run_slot = kNoRunSlot;
-            runCore(core.id);
+            runCore(core.id, when);
         } else {
             if (ev.when == EventQueue::kMaxTime || ev.when > when)
                 break;
@@ -171,6 +171,16 @@ Kernel::firstRunSlot()
     return *first;
 }
 
+EventKey
+Kernel::firstKeyBesides(const Core &self)
+{
+    EventKey first = queue_.nextKey();
+    for (const Core &core : cores_)
+        if (&core != &self)
+            first = std::min(first, core.run_slot);
+    return first;
+}
+
 void
 Kernel::recordSwitch(Cycles now, CoreId cpu, Thread *t, bool in)
 {
@@ -218,10 +228,10 @@ Kernel::contextSwitch(Core &core, Thread *next, Cycles now)
     core.quantum_end = core.cursor + costs::kQuantum;
     core.last_switch_in = core.cursor;
 
-    if (prev && !next)
-        --busy_cores_;
-    else if (!prev && next)
-        ++busy_cores_;
+    if (!prev != !next) {
+        busy_cores_ += next ? 1 : -1;
+        ++cpi_epoch_;  // busy-core count and SMT siblings moved
+    }
 
     core.current = next;
 
@@ -257,9 +267,11 @@ Kernel::writeBackTracersActive() const
 }
 
 double
-Kernel::effectiveCpi(const Core &core, const Thread &t) const
+Kernel::effectiveCpi(Core &core, const Thread &t)
 {
     const AppProfile &p = t.process().profile();
+    if (core.cpi_profile == &p && core.cpi_epoch == cpi_epoch_)
+        return core.cpi;
     double cpi = p.base_cpi;
 
     // Co-location interference on the shared LLC.
@@ -289,7 +301,10 @@ Kernel::effectiveCpi(const Core &core, const Thread &t) const
         tax = core.tracer->cacheBypass() ? costs::kTraceTaxBypass
                                          : costs::kTraceTaxWriteBack;
 
-    return cpi * (1.0 + interference) * (1.0 + tax);
+    core.cpi_profile = &p;
+    core.cpi_epoch = cpi_epoch_;
+    core.cpi = cpi * (1.0 + interference) * (1.0 + tax);
+    return core.cpi;
 }
 
 bool
@@ -322,28 +337,59 @@ Kernel::handleSyscallInternal(Core &core, Thread &t, Cycles &cursor)
 }
 
 void
-Kernel::runCore(CoreId c)
+Kernel::runCore(CoreId c, Cycles until)
 {
     Core &core = cores_[static_cast<std::size_t>(c)];
-    Cycles now = std::max(queue_.now(), core.cursor);
+    // firstKeyBesides(core), read again only once the queue's version
+    // has moved: nothing else changes another core's slot or the
+    // queue's next key while this core runs.
+    EventKey others = firstKeyBesides(core);
+    std::uint64_t seen = queue_.version();
+    auto refresh = [&] {
+        if (queue_.version() != seen) {
+            others = firstKeyBesides(core);
+            seen = queue_.version();
+        }
+    };
 
-    if (!core.current) {
-        dispatch(core, now);
-        if (!core.current)
+    while (true) {
+        if (!core.current) {
+            dispatch(core, std::max(queue_.now(), core.cursor));
+            if (!core.current)
+                return;
+        }
+        // Clip at the node's next event: a queued one or any run slot.
+        refresh();
+        runSlice(core, std::min(others.when, core.run_slot.when));
+
+        if (core.current) {
+            // This slot's own id moves no other key.
+            const bool unmoved = queue_.version() == seen;
+            scheduleRun(c, core.cursor);
+            if (unmoved)
+                seen = queue_.version();
+        }
+        // Fire the fresh slot here when runUntil would fire it next.
+        refresh();
+        if (core.run_slot.when > until || !(core.run_slot < others))
             return;
-        now = core.cursor;
+        queue_.advanceTo(core.run_slot.when);
+        core.run_slot = kNoRunSlot;
     }
+}
 
+void
+Kernel::runSlice(Core &core, Cycles next_ev)
+{
+    const CoreId c = core.id;
+    const Cycles now = std::max(queue_.now(), core.cursor);
     Thread *t = core.current;
     const AppProfile &prof = t->process().profile();
     const ProgramBinary &binary = t->process().binary();
     const std::uint64_t cr3 = t->process().cr3();
     CoreTracer &tracer = *core.tracer;
 
-    // Clip at the node's next event: a queued one or any run slot.
     Cycles slice_end = std::min(core.quantum_end, now + costs::kMaxSlice);
-    Cycles next_ev =
-        std::min(queue_.nextTime(), firstRunSlot().run_slot.when);
     if (next_ev != EventQueue::kMaxTime && next_ev > now)
         slice_end = std::min(slice_end, next_ev);
 
@@ -421,9 +467,6 @@ Kernel::runCore(CoreId c)
         core.runq.push_back(t);
         dispatch(core, cursor);
     }
-
-    if (core.current)
-        scheduleRun(c, core.cursor);
 }
 
 int

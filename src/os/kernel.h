@@ -12,7 +12,9 @@
  * per-branch fidelity. A core's next slice is its run slot, a (time, id)
  * key whose id comes from the event queue's counter; runUntil fires
  * slots and queued events in one (time, id) order, so a slice costs no
- * queue round trip and fires exactly where a queued event would.
+ * queue round trip and fires exactly where a queued event would. When
+ * a core's fresh slot is the next thing runUntil would fire anyway,
+ * runCore fires it in place (run-ahead with zero lookahead).
  */
 #ifndef EXIST_OS_KERNEL_H
 #define EXIST_OS_KERNEL_H
@@ -185,17 +187,29 @@ class Kernel
         /** Local time cursor (>= queue time while a slice runs). */
         Cycles cursor = 0;
         Cycles last_switch_in = 0;
+        /** effectiveCpi's last value, for this profile at this
+         *  cpi_epoch_. */
+        const AppProfile *cpi_profile = nullptr;
+        std::uint64_t cpi_epoch = 0;
+        double cpi = 0.0;
     };
 
     void scheduleRun(CoreId c, Cycles when);
     /** The core whose run slot fires first (any core when none is due). */
     Core &firstRunSlot();
-    void runCore(CoreId c);
+    /** The queue's next key or another core's slot, whichever sorts
+     *  first. */
+    EventKey firstKeyBesides(const Core &self);
+    /** Run slices of core c while its slot is the next due by `until`. */
+    void runCore(CoreId c, Cycles until);
+    /** One slice of the core's thread, clipped at `next_ev`, and the
+     *  switch it ends in. */
+    void runSlice(Core &core, Cycles next_ev);
     void dispatch(Core &core, Cycles now);
     void contextSwitch(Core &core, Thread *next, Cycles now);
     void enqueue(Thread *t);
     CoreId pickCoreFor(Thread *t) const;
-    double effectiveCpi(const Core &core, const Thread &t) const;
+    double effectiveCpi(Core &core, const Thread &t);
     /** Returns true when the syscall blocked the thread. */
     bool handleSyscallInternal(Core &core, Thread &t, Cycles &cursor);
     void recordSwitch(Cycles now, CoreId cpu, Thread *t, bool in);
@@ -222,11 +236,13 @@ class Kernel
     std::vector<SwitchRecord> switch_log_;
 
     int busy_cores_ = 0;
+    /** Moves when an input of effectiveCpi other than the profile may
+     *  have: the busy-core count, or a tracer's packetEn()/
+     *  cacheBypass() (each tracer bumps it itself). */
+    std::uint64_t cpi_epoch_ = 0;
     std::uint64_t total_switches_ = 0;
     int next_pid_ = 1;
     int next_tid_ = 100;
-
-    friend class KernelTestPeer;
 };
 
 }  // namespace exist

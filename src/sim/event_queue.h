@@ -78,9 +78,19 @@ class EventQueue
     void
     cancel(EventId id)
     {
-        if (id != kInvalidEvent)
+        if (id != kInvalidEvent) {
             cancelled_.push_back(id);
+            ++cancels_;
+        }
     }
+
+    /**
+     * Moves whenever nextKey() may have moved other than by firing:
+     * an id drawn (schedule() or reserveId()) or a cancel. A caller
+     * that keeps nextKey() between its own fires re-reads it only when
+     * this changed.
+     */
+    std::uint64_t version() const { return next_id_ + cancels_; }
 
     /** True when no live events remain. */
     bool empty() const { return live_ == 0; }
@@ -127,6 +137,7 @@ class EventQueue
     std::vector<EventId> cancelled_;
     Cycles now_ = 0;
     EventId next_id_ = kInvalidEvent;
+    std::uint64_t cancels_ = 0;
     std::size_t live_ = 0;
 };
 

@@ -2,11 +2,17 @@
  * @file
  * Kernel/scheduler tests: affinity, preemption, blocking syscalls,
  * tracepoint hooks, the five-tuple switch log, periodic interrupt
- * sources, and accounting invariants.
+ * sources, accounting invariants, the CPI cost model's inputs, and
+ * run-ahead exactness.
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <tuple>
+
 #include "analysis/testbed.h"
+#include "os/costs.h"
 #include "os/kernel.h"
 
 namespace exist {
@@ -289,6 +295,309 @@ TEST(Kernel, RunForLeavesTheClockAtTheRequestedCycle)
     // Slices outran the clock: the core's next run slot lay beyond
     // every cycle runFor stopped at.
     EXPECT_GT(kernel.coreBusyCycles(0), kernel.now());
+}
+
+// --- The CPI model's inputs -----------------------------------------------
+//
+// Each test watches a thread alone on core 0 that never blocks and so
+// never switches: nothing but the input under test can make the kernel
+// price its instructions differently.
+
+/** Counts the blocks core 0 retires. */
+struct Core0Blocks : BranchObserver {
+    std::uint64_t n = 0;
+    void
+    onBranch(CoreId core, const Thread &, const BranchRecord &,
+             Cycles) override
+    {
+        n += core == 0 ? 1 : 0;
+    }
+};
+
+/**
+ * A profile whose threads never block. Its blocks of ~20k instructions
+ * make each slice one block, and the under-one-cycle remainder a slice
+ * drops is then ~2e-5 of its cost, far below every factor measured.
+ */
+std::shared_ptr<const ProgramBinary>
+steadyBinary(double llc_sensitivity, double smt_sensitivity)
+{
+    AppProfile profile = AppCatalog::find("ex");
+    profile.syscalls_per_kinsn = 0.0;
+    profile.blocking_fraction = 0.0;
+    profile.avg_insns_per_block = 20'000.0;
+    profile.base_cpi = 1.37;  // fractional, as every CPI it is compared to
+    profile.llc_sensitivity = llc_sensitivity;
+    profile.smt_sensitivity = smt_sensitivity;
+    return std::make_shared<const ProgramBinary>(
+        ProgramBinary::generate(profile, 3));
+}
+
+/** User cycles per instruction `t` retires over the next 1.5 s, a
+ *  window of at least 10k of core 0's blocks. */
+double
+windowCpi(Kernel &kernel, const Thread &t)
+{
+    Core0Blocks blocks;
+    kernel.setBranchObserver(&blocks);
+    const TaskCounters before = t.counters();
+    kernel.runFor(secondsToCycles(1.5));
+    kernel.setBranchObserver(nullptr);
+    EXPECT_GE(blocks.n, 10'000u);
+    return static_cast<double>(t.counters().user_cycles -
+                               before.user_cycles) /
+           static_cast<double>(t.counters().insns - before.insns);
+}
+
+/** The CPI moved from `before` to `after` by the cost model's
+ *  `factor`, to within 1% of the move. */
+void
+expectMove(double before, double after, double factor)
+{
+    EXPECT_NEAR(after / before - 1.0, factor - 1.0,
+                0.01 * std::abs(factor - 1.0));
+}
+
+/** Trace `t`'s process on core c (CR3-filtered) into `topa`. */
+void
+traceOn(Kernel &kernel, CoreId c, const Thread &t, bool cache_bypass,
+        std::vector<TopaEntry> topa = {TopaEntry{1 << 20, false, false}},
+        bool ring = true)
+{
+    TracerConfig cfg;
+    cfg.cr3_filter = true;
+    cfg.cr3_match = t.process().cr3();
+    cfg.topa = std::move(topa);
+    cfg.topa_ring = ring;
+    cfg.cache_bypass = cache_bypass;
+    CoreTracer &tracer = kernel.tracer(c);
+    ASSERT_TRUE(tracer.configure(cfg).ok);
+    ASSERT_TRUE(
+        tracer.enable(kernel.now(), t.process().cr3(), t.currentAddress())
+            .ok);
+    ASSERT_TRUE(tracer.packetEn());
+}
+
+TEST(KernelCpi, LocalTracerTaxesItsOutputMode)
+{
+    for (bool bypass : {true, false}) {
+        SCOPED_TRACE(bypass ? "cache bypass" : "write-back");
+        Kernel kernel(NodeConfig{.num_cores = 2});
+        Process *p =
+            kernel.createProcess("steady", steadyBinary(0.03, 0.1), {0});
+        Thread *t = kernel.createThread(p, nullptr);
+        kernel.startThread(t);
+        kernel.runFor(secondsToCycles(0.01));
+        const double untraced = windowCpi(kernel, *t);
+        traceOn(kernel, 0, *t, bypass);
+        const double traced = windowCpi(kernel, *t);
+        expectMove(untraced, traced,
+                   1.0 + (bypass ? costs::kTraceTaxBypass
+                                 : costs::kTraceTaxWriteBack));
+        EXPECT_EQ(kernel.totalContextSwitches(), 1u);
+    }
+}
+
+TEST(KernelCpi, FilledStopRegionLiftsTheTax)
+{
+    Kernel kernel(NodeConfig{.num_cores = 2});
+    Process *p = kernel.createProcess("steady", steadyBinary(0.03, 0.1), {0});
+    Thread *t = kernel.createThread(p, nullptr);
+    kernel.startThread(t);
+    kernel.runFor(secondsToCycles(0.01));
+    const double untraced = windowCpi(kernel, *t);
+    // A window writes about 42 KB: this fills after one and a half.
+    traceOn(kernel, 0, *t, false, {TopaEntry{64 << 10, true, false}},
+            false);
+    const double taxed = windowCpi(kernel, *t);
+    ASSERT_FALSE(kernel.tracer(0).stopped());
+    while (!kernel.tracer(0).stopped())
+        kernel.runFor(secondsToCycles(0.001));
+    EXPECT_FALSE(kernel.tracer(0).packetEn());
+    const double stopped = windowCpi(kernel, *t);
+    expectMove(untraced, taxed, 1.0 + costs::kTraceTaxWriteBack);
+    expectMove(taxed, stopped, 1.0 / (1.0 + costs::kTraceTaxWriteBack));
+    EXPECT_EQ(kernel.totalContextSwitches(), 1u);
+}
+
+TEST(KernelCpi, WriteBackTracerElsewherePollutesTheSharedCache)
+{
+    const double llc = 0.2;
+    Kernel kernel(NodeConfig{.num_cores = 2});
+    auto bin = steadyBinary(llc, 0.1);
+    Process *p = kernel.createProcess("steady", bin, {0});
+    Process *other = kernel.createProcess("other", bin, {1});
+    Thread *t = kernel.createThread(p, nullptr);
+    Thread *u = kernel.createThread(other, nullptr);
+    kernel.startThread(t);
+    kernel.startThread(u);
+    kernel.runFor(secondsToCycles(0.01));
+    const double quiet = windowCpi(kernel, *t);
+    traceOn(kernel, 1, *u, false);
+    const double polluted = windowCpi(kernel, *t);
+    // One other busy core; one write-back tracer on another core.
+    expectMove(quiet, polluted,
+               (1.0 + llc + costs::kTracePollutionWeight * llc) /
+                   (1.0 + llc));
+    EXPECT_EQ(kernel.totalContextSwitches(), 2u);
+}
+
+TEST(KernelCpi, BusySmtSiblingContends)
+{
+    const double llc = 0.03, smt = 0.25;
+    Kernel kernel(NodeConfig{.num_cores = 2, .smt = true});
+    auto bin = steadyBinary(llc, smt);
+    Process *p = kernel.createProcess("steady", bin, {0});
+    Process *sibling = kernel.createProcess("sibling", bin, {1});
+    Thread *t = kernel.createThread(p, nullptr);
+    kernel.startThread(t);
+    kernel.runFor(secondsToCycles(0.01));
+    const double alone = windowCpi(kernel, *t);
+    kernel.startThread(kernel.createThread(sibling, nullptr));
+    const double shared = windowCpi(kernel, *t);
+    expectMove(alone, shared, 1.0 + llc + smt);
+    EXPECT_EQ(t->counters().context_switches, 1u);
+}
+
+// --- Run-ahead exactness ------------------------------------------------
+//
+// runCore fires a core's next slice itself while runUntil would fire
+// it next. Stepping a node 1 µs at a time bounds every such run by the
+// step, so a node stepped that way must end where one long runFor ends.
+
+enum class RunAheadCase { kLoneCompute, kOvercommittedMc, kTimerFromHook };
+
+/** What a run leaves behind that a moved slice boundary would change. */
+struct NodeState {
+    std::vector<TaskCounters> counters;  ///< per thread
+    std::vector<SwitchRecord> switches;
+    std::vector<Cycles> busy, kernel_cycles;  ///< per core
+    std::vector<std::vector<std::uint8_t>> topa;  ///< per core
+    std::vector<Cycles> timers_fired;
+    Cycles now = 0;
+};
+
+NodeState
+runNode(RunAheadCase c, bool stepped)
+{
+    Kernel kernel(NodeConfig{.num_cores = 2, .seed = 7});
+    std::vector<Thread *> threads;
+    NodeState st;
+    switch (c) {
+      case RunAheadCase::kLoneCompute: {
+        Process *p = kernel.createProcess("lbm", binary("lbm"), {0});
+        threads.push_back(kernel.createThread(p, nullptr));
+        break;
+      }
+      case RunAheadCase::kOvercommittedMc: {
+        Process *p = kernel.createProcess("mc", binary("mc"), {});
+        for (int i = 0; i < 5; ++i)
+            threads.push_back(kernel.createThread(p, nullptr));
+        break;
+      }
+      case RunAheadCase::kTimerFromHook: {
+        AppProfile profile = AppCatalog::find("ex");
+        profile.syscalls_per_kinsn = 0.05;
+        profile.blocking_fraction = 0.0;
+        auto bin = std::make_shared<const ProgramBinary>(
+            ProgramBinary::generate(profile, 5));
+        Process *p = kernel.createProcess("hooked", bin, {0});
+        threads.push_back(kernel.createThread(p, nullptr));
+        kernel.addSyscallHook([&](Cycles now, CoreId, Thread &) -> Cycles {
+            kernel.setTimer(now + usToCycles(3.0), [&] {
+                st.timers_fired.push_back(kernel.now());
+            });
+            return 0;
+        });
+        break;
+      }
+    }
+    for (Thread *t : threads)
+        kernel.startThread(t);
+    for (CoreId core = 0; core < kernel.numCores(); ++core) {
+        TracerConfig cfg;
+        cfg.topa = {TopaEntry{1 << 22, true, false}};
+        EXPECT_TRUE(kernel.tracer(core).configure(cfg).ok);
+        EXPECT_TRUE(kernel.tracer(core).enable(0, 0, 0).ok);
+    }
+    kernel.armSwitchLog(kInvalidId);
+
+    const Cycles span = usToCycles(3000.0);
+    if (stepped) {
+        for (Cycles done = 0; done < span; done += usToCycles(1.0))
+            kernel.runFor(usToCycles(1.0));
+    } else {
+        kernel.runFor(span);
+    }
+
+    for (Thread *t : threads)
+        st.counters.push_back(t->counters());
+    st.switches = kernel.takeSwitchLog();
+    for (CoreId core = 0; core < kernel.numCores(); ++core) {
+        st.busy.push_back(kernel.coreBusyCycles(core));
+        st.kernel_cycles.push_back(kernel.coreKernelCycles(core));
+        EXPECT_FALSE(kernel.tracer(core).output().stopped());
+        kernel.tracer(core).output().copyTo(st.topa.emplace_back());
+    }
+    st.now = kernel.now();
+    if (c == RunAheadCase::kTimerFromHook) {
+        EXPECT_GT(st.timers_fired.size(), 10u);
+    }
+    return st;
+}
+
+auto
+fields(const TaskCounters &c)
+{
+    return std::tie(c.insns, c.user_cycles, c.kernel_cycles,
+                    c.context_switches, c.migrations, c.syscalls,
+                    c.branch_misses, c.l1_misses, c.llc_misses);
+}
+
+auto
+fields(const SwitchRecord &r)
+{
+    return std::tie(r.timestamp, r.cpu, r.pid, r.tid, r.op);
+}
+
+void
+expectRunAheadExact(RunAheadCase c)
+{
+    const NodeState whole = runNode(c, false);
+    const NodeState stepped = runNode(c, true);
+    ASSERT_EQ(whole.counters.size(), stepped.counters.size());
+    for (std::size_t i = 0; i < whole.counters.size(); ++i) {
+        EXPECT_GT(whole.counters[i].insns, 0u) << "thread " << i;
+        EXPECT_TRUE(fields(whole.counters[i]) ==
+                    fields(stepped.counters[i]))
+            << "thread " << i;
+    }
+    ASSERT_EQ(whole.switches.size(), stepped.switches.size());
+    for (std::size_t i = 0; i < whole.switches.size(); ++i)
+        EXPECT_TRUE(fields(whole.switches[i]) ==
+                    fields(stepped.switches[i]))
+            << "switch record " << i;
+    EXPECT_EQ(whole.busy, stepped.busy);
+    EXPECT_EQ(whole.kernel_cycles, stepped.kernel_cycles);
+    EXPECT_GT(whole.topa[0].size(), 0u);
+    EXPECT_EQ(whole.topa, stepped.topa);
+    EXPECT_EQ(whole.timers_fired, stepped.timers_fired);
+    EXPECT_EQ(whole.now, stepped.now);
+}
+
+TEST(KernelRunAhead, LoneComputeThreadStepsExactly)
+{
+    expectRunAheadExact(RunAheadCase::kLoneCompute);
+}
+
+TEST(KernelRunAhead, OvercommittedBlockingNodeStepsExactly)
+{
+    expectRunAheadExact(RunAheadCase::kOvercommittedMc);
+}
+
+TEST(KernelRunAhead, TimerSetInsideASliceStepsExactly)
+{
+    expectRunAheadExact(RunAheadCase::kTimerFromHook);
 }
 
 }  // namespace
