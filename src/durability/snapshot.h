@@ -9,10 +9,14 @@
  * the snapshot interval, not the experiment length.
  *
  * On-disk format: snap-<%016llx barrier_lsn>.img
- *   u32 magic "EXSN" | u8 version (2) | u64 body_len | u64 fnv1a64(body)
+ *   u32 magic "EXSN" | u8 version (3) | u64 body_len |
+ *   u64 checksum64(body)
  *   body: meta | barrier_lsn | ControlStateDump
- * Version 1 images also carried ingest cursors; they fail the header
- * check, and with no valid image left recovery refuses the directory.
+ * Version 1 images also carried ingest cursors and version 2 images
+ * were checked with FNV-1a; both fail the header check, and with no
+ * valid image left recovery refuses the directory. writeSnapshot
+ * serializes the image once, into one buffer sized by its object
+ * bytes, and patches body_len and the checksum into its header.
  *
  * Atomicity: the image is written to `<path>.tmp`, flushed, then
  * renamed — a crash mid-write leaves a `.tmp` recovery ignores. Two
@@ -34,7 +38,7 @@
 namespace exist::durability {
 
 inline constexpr std::uint32_t kSnapMagic = 0x4E535845;  // "EXSN"
-inline constexpr std::uint8_t kSnapVersion = 2;
+inline constexpr std::uint8_t kSnapVersion = 3;
 
 struct SnapshotState {
     ClusterMeta meta;

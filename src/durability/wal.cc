@@ -54,7 +54,12 @@ readFile(const std::string &path, std::vector<std::uint8_t> *out)
     std::FILE *f = std::fopen(path.c_str(), "rb");
     if (f == nullptr)
         return false;
-    out->clear();
+    // Read straight into a buffer sized by the file's length; a file
+    // that grows meanwhile is read on in chunks.
+    std::error_code ec;
+    std::uintmax_t size = fs::file_size(path, ec);
+    out->resize(ec ? 0 : static_cast<std::size_t>(size));
+    out->resize(std::fread(out->data(), 1, out->size(), f));
     std::uint8_t buf[1 << 16];
     std::size_t n;
     while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
@@ -65,6 +70,10 @@ readFile(const std::string &path, std::vector<std::uint8_t> *out)
 }
 
 namespace {
+
+/** Room for a record's bytes besides a publish's objects: its report,
+ *  rows and ledger delta (a few KB in a reconcile run). */
+constexpr std::size_t kRecordSlackBytes = 64u << 10;
 
 std::string
 segmentName(std::uint64_t start_lsn)
@@ -81,6 +90,9 @@ parseSegmentName(const std::string &name, std::uint64_t *lsn)
 /** One segment, scanned to its first invalid byte. */
 struct SegmentScan {
     bool header_ok = false;
+    /** Version byte of a whole header that has the WAL magic but
+     *  another format version; the scan stopped there. */
+    std::optional<std::uint8_t> foreign_version;
     std::uint64_t start_lsn = 0;
     std::vector<WalRecord> records;
     bool clean_end = false;  ///< file ended exactly on a record edge
@@ -102,8 +114,14 @@ scanSegment(const std::string &path)
     std::uint32_t magic = r.getU32();
     std::uint8_t version = r.getU8();
     std::uint64_t start = r.getU64();
-    if (!r.ok() || magic != kWalMagic || version != kWalVersion)
+    if (!r.ok() || magic != kWalMagic)
+        return scan;  // torn header (crash during rotation) or no WAL
+    if (version != kWalVersion) {
+        // Written whole by a binary that speaks another format: its
+        // records are real, so this is never a torn tail.
+        scan.foreign_version = version;
         return scan;
+    }
     scan.header_ok = true;
     scan.start_lsn = start;
     for (;;) {
@@ -118,7 +136,7 @@ scanSegment(const std::string &path)
         const std::uint8_t *payload = r.getBytes(len);
         if (payload == nullptr)
             return scan;  // torn tail
-        if (net::fnv1a64(payload, len) != sum)
+        if (net::checksum64(payload, len) != sum)
             return scan;  // bit rot
         WalRecord rec;
         if (!decodeRecord(payload, len, &rec)) {
@@ -129,6 +147,14 @@ scanSegment(const std::string &path)
         }
         scan.records.push_back(std::move(rec));
     }
+}
+
+std::string
+foreignVersionError(const std::string &path, std::uint8_t version)
+{
+    return "wal segment " + path + " is format version " +
+           std::to_string(version) + "; this binary reads version " +
+           std::to_string(kWalVersion);
 }
 
 }  // namespace
@@ -253,16 +279,50 @@ getRow(net::ByteReader &r, TraceRow *out)
     return r.ok();
 }
 
-void
-putEffects(net::ByteWriter &w, const PublishEffects &fx)
+std::size_t
+objectBytes(const StoredObjects &objects)
 {
-    putReport(w, fx.report);
-    w.putVarint(fx.objects.size());
-    for (const auto &[key, bytes] : fx.objects) {
+    std::size_t total = 0;
+    for (const auto &[key, bytes] : objects)
+        total += key.size() + bytes.size() + 2 * 10;
+    return total;
+}
+
+void
+putObjects(net::ByteWriter &w, const StoredObjects &objects)
+{
+    w.putVarint(objects.size());
+    for (const auto &[key, bytes] : objects) {
         w.putString(key);
         w.putVarint(bytes.size());
         w.putBytes(bytes.data(), bytes.size());
     }
+}
+
+bool
+getObjects(net::ByteReader &r, StoredObjects *out)
+{
+    std::uint64_t nobj = r.getVarint();
+    if (!r.ok() || nobj > r.remaining())
+        return false;
+    out->clear();
+    for (std::uint64_t i = 0; i < nobj && r.ok(); ++i) {
+        std::string key = r.getString();
+        std::uint64_t len = r.getVarint();
+        const std::uint8_t *p = r.getBytes(len);
+        if (p == nullptr)
+            return false;
+        out->emplace_back(std::move(key),
+                          std::vector<std::uint8_t>(p, p + len));
+    }
+    return r.ok();
+}
+
+void
+putEffects(net::ByteWriter &w, const PublishEffects &fx)
+{
+    putReport(w, fx.report);
+    putObjects(w, fx.objects);
     w.putVarint(fx.rows.size());
     for (const TraceRow &row : fx.rows)
         putRow(w, row);
@@ -275,21 +335,8 @@ putEffects(net::ByteWriter &w, const PublishEffects &fx)
 bool
 getEffects(net::ByteReader &r, PublishEffects *out)
 {
-    if (!getReport(r, &out->report))
+    if (!getReport(r, &out->report) || !getObjects(r, &out->objects))
         return false;
-    std::uint64_t nobj = r.getVarint();
-    if (!r.ok() || nobj > r.remaining())
-        return false;
-    out->objects.clear();
-    for (std::uint64_t i = 0; i < nobj && r.ok(); ++i) {
-        std::string key = r.getString();
-        std::uint64_t len = r.getVarint();
-        const std::uint8_t *p = r.getBytes(len);
-        if (p == nullptr)
-            return false;
-        out->objects.emplace_back(
-            std::move(key), std::vector<std::uint8_t>(p, p + len));
-    }
     std::uint64_t nrows = r.getVarint();
     if (!r.ok() || nrows > r.remaining())
         return false;
@@ -307,11 +354,9 @@ getEffects(net::ByteReader &r, PublishEffects *out)
     return r.ok();
 }
 
-std::vector<std::uint8_t>
-encodeRecord(const WalRecord &rec)
+void
+encodeRecord(net::ByteWriter &w, const WalRecord &rec)
 {
-    std::vector<std::uint8_t> out;
-    net::ByteWriter w(&out);
     w.putU8(static_cast<std::uint8_t>(rec.type));
     w.putVarint(rec.lsn);
     switch (rec.type) {
@@ -332,7 +377,6 @@ encodeRecord(const WalRecord &rec)
         putEffects(w, rec.effects);
         break;
     }
-    return out;
 }
 
 bool
@@ -384,6 +428,12 @@ Wal::Wal(Config cfg, metrics::Registry *registry)
     if (!segments.empty()) {
         const std::string &last = segments.back();
         SegmentScan scan = scanSegment(last);
+        // Recovery refuses such a log before anything reopens it; a new
+        // segment at its start LSN would overwrite its records.
+        if (scan.foreign_version)
+            EXIST_PANIC("%s",
+                        foreignVersionError(last, *scan.foreign_version)
+                            .c_str());
         if (scan.header_ok) {
             next_lsn_ = scan.start_lsn + scan.records.size();
         } else {
@@ -434,17 +484,24 @@ Wal::append(WalRecord rec)
     // durability tax every control-plane mutation pays.
     EXIST_SPAN("wal.append",
                obs::corrId(rec.lsn, static_cast<std::uint64_t>(rec.type)));
-    std::vector<std::uint8_t> payload = encodeRecord(rec);
-    EXIST_ASSERT(payload.size() <= kMaxRecordBytes,
-                 "wal: oversized record (%zu bytes)", payload.size());
+    // One buffer, sized by a publish's object bytes that dominate it:
+    // the record header, the payload encoded in place behind it, then
+    // the header's length and checksum patched.
+    std::vector<std::uint8_t> frame;
+    frame.reserve(kRecordHeaderBytes + kRecordSlackBytes +
+                  objectBytes(rec.effects.objects));
+    net::ByteWriter w(&frame);
+    w.putU32(0);  // payload_len
+    w.putU64(0);  // checksum
+    encodeRecord(w, rec);
+    std::size_t len = frame.size() - kRecordHeaderBytes;
+    EXIST_ASSERT(len <= kMaxRecordBytes,
+                 "wal: oversized record (%zu bytes)", len);
+    w.patchU32(0, static_cast<std::uint32_t>(len));
+    w.patchU64(4, w.checksumFrom(kRecordHeaderBytes));
     if (file_ == nullptr || segment_payload_ >= cfg_.segment_bytes)
         openSegment();
 
-    std::vector<std::uint8_t> frame;
-    net::ByteWriter w(&frame);
-    w.putU32(static_cast<std::uint32_t>(payload.size()));
-    w.putU64(net::fnv1a64(payload.data(), payload.size()));
-    w.putBytes(payload.data(), payload.size());
     std::size_t n = std::fwrite(frame.data(), 1, frame.size(), file_);
     EXIST_ASSERT(n == frame.size(), "wal: short record write");
     // Flush before acknowledging: the crash model is process death,
@@ -532,6 +589,11 @@ Wal::replay(const std::string &dir, std::uint64_t from_lsn)
         std::uint64_t name_lsn = 0;
         parseSegmentName(fs::path(segments[i]).filename().string(),
                          &name_lsn);
+        if (scan.foreign_version) {
+            res.error = foreignVersionError(segments[i],
+                                            *scan.foreign_version);
+            return res;
+        }
         if (!scan.header_ok) {
             // A header-less file is the crash-during-rotation layout —
             // tolerable only as the very tail of the log.

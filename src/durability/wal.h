@@ -25,9 +25,14 @@
  * On-disk format (all integers little-endian / LEB128 via net/wire.h):
  *
  *   segment file  wal-<%016llx start_lsn>.seg
- *     header      u32 magic "EXWL" | u8 version | u64 start_lsn
- *     record*     u32 payload_len | u64 fnv1a64(payload) | payload
+ *     header      u32 magic "EXWL" | u8 version (2) | u64 start_lsn
+ *     record*     u32 payload_len | u64 checksum64(payload) | payload
  *     payload     u8 type | varint lsn | type-specific body
+ *
+ * Version 1 checked records with FNV-1a; no reader for it remains.
+ * Wal::append serializes a record once: encodeRecord writes the
+ * payload in place behind the 12-byte record header, whose length and
+ * checksum are patched afterwards.
  *
  * LSNs start at 1 and are contiguous across segments; a segment's
  * name/header carry the LSN of its first record. Appends fflush()
@@ -36,6 +41,11 @@
  * kernel accepted — so every acknowledged append survives the crash.
  *
  * Replay rules (the loud-failure contract the corruption fuzz pins):
+ *   - a whole 13-byte header with the WAL magic and another version
+ *     was written by a binary of another format -> hard error naming
+ *     the segment and both versions, wherever it sits; a header cut
+ *     short is the crash-during-rotation layout, a torn tail when
+ *     the segment is the last;
  *   - a record that fails framing or checksum *in the last segment*
  *     is a torn tail: replay stops cleanly before it;
  *   - a record whose checksum holds but whose payload does not decode
@@ -66,7 +76,9 @@
 namespace exist::durability {
 
 inline constexpr std::uint32_t kWalMagic = 0x4C575845;  // "EXWL"
-inline constexpr std::uint8_t kWalVersion = 1;
+inline constexpr std::uint8_t kWalVersion = 2;
+/** payload_len + checksum ahead of every record payload. */
+inline constexpr std::size_t kRecordHeaderBytes = 4 + 8;
 /** Framing sanity bound; a length prefix past this is corruption. */
 inline constexpr std::uint32_t kMaxRecordBytes = 64u << 20;
 
@@ -77,8 +89,8 @@ struct ClusterMeta {
     int cores_per_node = 0;
     /** API-server shard count the log was written under. Recovery
      *  rebuilds a ShardedMaster with this many lanes; 0 (written by
-     *  versions that still had a serial control plane) recovers into
-     *  one lane. */
+     *  versions that still had a serial control plane, whose version-1
+     *  logs replay now refuses) recovers into one lane. */
     int shards = 0;
     std::uint64_t snapshot_interval = 0;
     /** (app, replicas) in deploy order. */
@@ -122,6 +134,10 @@ struct WalRecord {
     PublishEffects effects;       // kPublish
 };
 
+/** OSS (key, bytes) objects, as publishes and state dumps hold them. */
+using StoredObjects =
+    std::vector<std::pair<std::string, std::vector<std::uint8_t>>>;
+
 /** Shared serializers (the snapshot image reuses them). All readers
  *  go through the latching ByteReader: corrupt input returns false,
  *  never UB. */
@@ -131,11 +147,17 @@ void putReport(net::ByteWriter &w, const TraceReport &report);
 bool getReport(net::ByteReader &r, TraceReport *out);
 void putRow(net::ByteWriter &w, const TraceRow &row);
 bool getRow(net::ByteReader &r, TraceRow *out);
+/** Count, then key, length and bytes of each object. */
+void putObjects(net::ByteWriter &w, const StoredObjects &objects);
+bool getObjects(net::ByteReader &r, StoredObjects *out);
+/** An upper bound of putObjects' output less its count: what a
+ *  writer reserves so the object bytes land in one allocation. */
+std::size_t objectBytes(const StoredObjects &objects);
 void putEffects(net::ByteWriter &w, const PublishEffects &fx);
 bool getEffects(net::ByteReader &r, PublishEffects *out);
 
-/** Serialize a record payload (type + lsn + body). */
-std::vector<std::uint8_t> encodeRecord(const WalRecord &rec);
+/** Append a record payload (type + lsn + body) to `w`. */
+void encodeRecord(net::ByteWriter &w, const WalRecord &rec);
 /** Parse a record payload; false on any malformation. */
 bool decodeRecord(const std::uint8_t *data, std::size_t size,
                   WalRecord *out);

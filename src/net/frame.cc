@@ -6,19 +6,34 @@ namespace exist::net {
 
 namespace {
 
-/** Wrap a serialized message body in the frame envelope. */
+/** Offsets of the header slots seal() patches once the body is in. */
+constexpr std::size_t kLengthAt = 4 + 1 + 1;
+constexpr std::size_t kCheckAt = kLengthAt + 4;
+/** A body's fixed fields: five varints of at most ten bytes each. A
+ *  batch's chunk grows the buffer once more, copying only these. */
+constexpr std::size_t kBodyFieldsBytes = 5 * 10;
+
+/**
+ * One frame, serialized once: the envelope header with its length and
+ * check slots zeroed, `put_body` writing the message body in place
+ * behind it, then both slots patched.
+ */
+template <typename PutBody>
 std::vector<std::uint8_t>
-seal(MsgType type, const std::vector<std::uint8_t> &payload)
+seal(MsgType type, PutBody &&put_body)
 {
     std::vector<std::uint8_t> out;
-    out.reserve(kFrameHeaderBytes + payload.size());
+    out.reserve(kFrameHeaderBytes + kBodyFieldsBytes);
     ByteWriter w(&out);
     w.putU32(kFrameMagic);
     w.putU8(kFrameVersion);
     w.putU8(static_cast<std::uint8_t>(type));
-    w.putU32(static_cast<std::uint32_t>(payload.size()));
-    w.putU64(fnv1a64(payload.data(), payload.size()));
-    w.putBytes(payload.data(), payload.size());
+    w.putU32(0);  // length, patched below
+    w.putU64(0);  // check, patched below
+    put_body(w);
+    w.patchU32(kLengthAt,
+               static_cast<std::uint32_t>(out.size() - kFrameHeaderBytes));
+    w.patchU64(kCheckAt, w.checksumFrom(kFrameHeaderBytes));
     return out;
 }
 
@@ -81,41 +96,38 @@ decodeStatusName(DecodeStatus s)
 std::vector<std::uint8_t>
 encodeFrame(const TraceRegionBatchMsg &msg)
 {
-    std::vector<std::uint8_t> payload;
-    ByteWriter w(&payload);
-    w.putSVarint(msg.node);
-    w.putVarint(msg.stream);
-    w.putVarint(msg.batch_seq);
-    w.putVarint(msg.total_batches);
-    w.putVarint(msg.chunk.size());
-    w.putBytes(msg.chunk.data(), msg.chunk.size());
-    return seal(MsgType::kTraceRegionBatch, payload);
+    return seal(MsgType::kTraceRegionBatch, [&](ByteWriter &w) {
+        w.putSVarint(msg.node);
+        w.putVarint(msg.stream);
+        w.putVarint(msg.batch_seq);
+        w.putVarint(msg.total_batches);
+        w.putVarint(msg.chunk.size());
+        w.putBytes(msg.chunk.data(), msg.chunk.size());
+    });
 }
 
 std::vector<std::uint8_t>
 encodeFrame(const BehaviorReportMsg &msg)
 {
-    std::vector<std::uint8_t> payload;
-    ByteWriter w(&payload);
-    w.putSVarint(msg.node);
-    w.putVarint(msg.stream);
-    w.putU8(msg.degraded ? 1 : 0);
-    w.putVarint(msg.batches_spilled);
-    w.putString(msg.summary);
-    return seal(MsgType::kBehaviorReport, payload);
+    return seal(MsgType::kBehaviorReport, [&](ByteWriter &w) {
+        w.putSVarint(msg.node);
+        w.putVarint(msg.stream);
+        w.putU8(msg.degraded ? 1 : 0);
+        w.putVarint(msg.batches_spilled);
+        w.putString(msg.summary);
+    });
 }
 
 std::vector<std::uint8_t>
 encodeFrame(const AckMsg &msg)
 {
-    std::vector<std::uint8_t> payload;
-    ByteWriter w(&payload);
-    w.putSVarint(msg.node);
-    w.putVarint(msg.stream);
-    w.putVarint(msg.batch_seq);
-    w.putVarint(msg.cumulative);
-    w.putVarint(msg.window);
-    return seal(MsgType::kAck, payload);
+    return seal(MsgType::kAck, [&](ByteWriter &w) {
+        w.putSVarint(msg.node);
+        w.putVarint(msg.stream);
+        w.putVarint(msg.batch_seq);
+        w.putVarint(msg.cumulative);
+        w.putVarint(msg.window);
+    });
 }
 
 DecodeStatus
@@ -138,7 +150,7 @@ decodeFrame(const std::uint8_t *data, std::size_t size, Frame *frame,
     if (size - kFrameHeaderBytes < length)
         return DecodeStatus::kTruncated;
     const std::uint8_t *payload = data + kFrameHeaderBytes;
-    if (fnv1a64(payload, length) != check)
+    if (checksum64(payload, length) != check)
         return DecodeStatus::kBadChecksum;
 
     ByteReader body(payload, length);

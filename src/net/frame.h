@@ -19,11 +19,15 @@
  * Frame layout (little-endian):
  *
  *   magic   u32  'E''X''F''R'
- *   version u8
+ *   version u8   kFrameVersion (2; version 1 checked with FNV-1a and
+ *                decodes as kBadVersion)
  *   type    u8   MsgType
  *   length  u32  payload byte count
- *   check   u64  FNV-1a over the payload bytes
+ *   check   u64  checksum64 (XXH64, seed 0) over the payload bytes
  *   payload length bytes
+ *
+ * encodeFrame() serializes a frame once: the body is written in place
+ * behind a header whose length and check are patched afterwards.
  *
  * decodeFrame() never over-reads: truncated input reports kTruncated,
  * a flipped payload byte reports kBadChecksum, and the caller always
@@ -49,7 +53,7 @@ enum class MsgType : std::uint8_t {
 };
 
 inline constexpr std::uint32_t kFrameMagic = 0x52465845u;  // "EXFR"
-inline constexpr std::uint8_t kFrameVersion = 1;
+inline constexpr std::uint8_t kFrameVersion = 2;
 /** magic + version + type + length + checksum. */
 inline constexpr std::size_t kFrameHeaderBytes = 4 + 1 + 1 + 4 + 8;
 /** Refuse absurd length prefixes before trusting them. */

@@ -19,9 +19,11 @@ constexpr int kNameWords = 4;  // 32-byte thread name
 
 static_assert((kRingCapacity & kRingMask) == 0, "capacity power of two");
 
-/** One 32-byte event, stored as four relaxed atomic words so a
+/** One 32-byte event, stored as four atomic words so a
  *  concurrent snapshot copy is TSan-clean; torn reads of slots being
- *  overwritten are trimmed by the cursor re-check in snapshot(). */
+ *  overwritten (or about to be: the slot of seq end - kRingCapacity
+ *  while the writer fills it for seq end) are trimmed by the cursor
+ *  re-check in snapshot(). */
 struct Slot {
     std::atomic<std::uint64_t> w[4];
 };
@@ -149,11 +151,15 @@ emitEvent(std::uint64_t ts, const char *name, std::uint64_t corr, Kind kind,
     }
     std::uint64_t seq = r->write_pos.load(std::memory_order_relaxed);
     Slot &s = r->slots[seq & kRingMask];
-    s.w[0].store(ts, std::memory_order_relaxed);
+    // Release stores order the cursor store that published seq before
+    // each slot word: a collector whose acquire load reads any of them
+    // then reads a cursor of at least seq (see snapshot()). They do
+    // the work of a release fence, which -fsanitize=thread rejects.
+    s.w[0].store(ts, std::memory_order_release);
     s.w[1].store(reinterpret_cast<std::uint64_t>(name),
-                 std::memory_order_relaxed);
-    s.w[2].store(corr, std::memory_order_relaxed);
-    s.w[3].store(pack(kind, clock, arg), std::memory_order_relaxed);
+                 std::memory_order_release);
+    s.w[2].store(corr, std::memory_order_release);
+    s.w[3].store(pack(kind, clock, arg), std::memory_order_release);
     r->write_pos.store(seq + 1, std::memory_order_release);
 }
 
@@ -314,13 +320,17 @@ snapshot()
         for (std::uint64_t seq = begin; seq < end; ++seq) {
             const Slot &s = r->slots[seq & kRingMask];
             for (int w = 0; w < 4; ++w)
-                raw.push_back(s.w[w].load(std::memory_order_relaxed));
+                raw.push_back(s.w[w].load(std::memory_order_acquire));
         }
-        // Anything the writer lapped during the copy is torn: keep only
-        // slots still inside the window implied by the final cursor.
+        // Anything the writer lapped during the copy is torn. A copied
+        // word written for seq S makes the re-read cursor at least S
+        // (the acquire loads above pair with emitEvent's release
+        // stores), and a cursor of end2 means seq end2 may be
+        // mid-store into slot end2 - kRingCapacity, so keep only seqs
+        // above that one.
         std::uint64_t end2 = r->write_pos.load(std::memory_order_acquire);
         std::uint64_t valid_from =
-            end2 > kRingCapacity ? end2 - kRingCapacity : 0;
+            end2 + 1 > kRingCapacity ? end2 + 1 - kRingCapacity : 0;
         for (std::uint64_t seq = begin; seq < end; ++seq) {
             if (seq < valid_from)
                 continue;

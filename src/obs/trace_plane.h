@@ -3,11 +3,12 @@
  * Self-observability plane: always-on, lock-free internal span tracing.
  *
  * Every thread that emits an event owns a bounded SPSC ring of 32-byte
- * slots; the emit path performs four relaxed atomic word stores plus one
- * release store of the write cursor and never takes a lock, allocates,
- * or blocks — it is safe from event-loop callbacks, CommitLog actions,
- * and decode hot loops (exist-analyzer proves the no-blocking property,
- * see tools/analyzer/checks/event_block.py).  Collectors (flight-dump,
+ * slots; the emit path performs four release stores of atomic slot
+ * words and one release store of the write cursor and never
+ * takes a lock, allocates, or blocks — it is safe from event-loop
+ * callbacks, CommitLog actions, and decode hot loops (exist-analyzer
+ * proves the no-blocking property, see
+ * tools/analyzer/checks/event_block.py).  Collectors (flight-dump,
  * Chrome-trace export, tests) snapshot rings from the outside under the
  * kObs-ranked dump mutex; a concurrent writer can at worst overwrite
  * the oldest slots mid-copy, which the snapshot detects by re-reading

@@ -51,7 +51,6 @@ class ExecutionContext
     ExecutionContext(const ProgramBinary *program, std::uint64_t seed)
         : prog_(program), rng_(seed), cur_(program->entryBlock())
     {
-        stack_.reserve(kMaxStackDepth);
         double rate = program->profile().syscalls_per_kinsn;
         if (rate > 0.0) {
             syscall_mean_insns_ = 1000.0 / rate;
@@ -108,14 +107,15 @@ class ExecutionContext
             target = indirectTarget(b);
             break;
           case BranchKind::kReturn:
-            if (stack_.empty()) {
+            if (depth_ == 0) {
                 // Unbalanced return (the generator allows early returns
                 // in the main loop): restart the main loop. The TIP
                 // packet carries the real target, so decoding is exact.
                 target = prog_->entryBlock();
             } else {
-                target = stack_.back();
-                stack_.pop_back();
+                top_ = top_ == 0 ? kMaxStackDepth - 1 : top_ - 1;
+                --depth_;
+                target = stack_[top_];
             }
             break;
           case BranchKind::kSyscall:
@@ -144,7 +144,7 @@ class ExecutionContext
 
     std::uint32_t currentBlock() const { return cur_; }
     const ProgramBinary &program() const { return *prog_; }
-    std::size_t callDepth() const { return stack_.size(); }
+    std::size_t callDepth() const { return depth_; }
 
     /** How this context's phase-dependent draws were decided. */
     struct PhaseDrawStats {
@@ -157,7 +157,7 @@ class ExecutionContext
     const PhaseDrawStats &phaseDrawStats() const { return stats_; }
 
   private:
-    static constexpr std::size_t kMaxStackDepth = 96;
+    static constexpr std::uint32_t kMaxStackDepth = 96;
     static constexpr double kTwoPi = 6.28318530717958647692;
     /** Instructions an anchor serves before it is refreshed. */
     static constexpr std::uint64_t kAnchorSpan = 16000;
@@ -244,18 +244,27 @@ class ExecutionContext
         return prog_->indirectTargets()[prog_->indirectEntry(b, v)].block;
     }
 
+    /** Push onto the return stack; a full stack drops its oldest
+     *  entry, which is the slot the new top overwrites. */
     void
     pushReturn(std::uint32_t block)
     {
-        if (stack_.size() >= kMaxStackDepth)
-            stack_.erase(stack_.begin());
-        stack_.push_back(block);
+        stack_[top_] = block;
+        top_ = top_ + 1 == kMaxStackDepth ? 0 : top_ + 1;
+        if (depth_ < kMaxStackDepth)
+            ++depth_;
     }
 
     const ProgramBinary *prog_;
     Rng rng_;
     std::uint32_t cur_;
-    std::vector<std::uint32_t> stack_;
+    /** Return addresses: a ring of kMaxStackDepth slots whose newest
+     *  entry sits just below top_, holding the depth_ newest pushes.
+     *  Kept on the heap, so the hot fields around it share lines. */
+    std::vector<std::uint32_t> stack_ =
+        std::vector<std::uint32_t>(kMaxStackDepth);
+    std::uint32_t top_ = 0;
+    std::uint32_t depth_ = 0;
     double syscall_mean_insns_ = 0.0;
     double insns_until_syscall_ = 0.0;
     std::uint64_t insns_total_ = 0;

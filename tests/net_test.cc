@@ -90,6 +90,40 @@ TEST(WireTest, ReaderLatchesOnTruncation)
     EXPECT_EQ(r.getVarint(), 0u);  // still latched
 }
 
+std::uint64_t
+checksumOf(const std::string &s)
+{
+    return checksum64(reinterpret_cast<const std::uint8_t *>(s.data()),
+                      s.size());
+}
+
+TEST(WireTest, Checksum64IsXxh64WithSeedZero)
+{
+    // The XXH64 reference values: the empty input, the short tails
+    // (one byte, three bytes) and a 32-byte stripe plus a tail.
+    EXPECT_EQ(checksumOf(""), 0xef46db3751d8e999ULL);
+    EXPECT_EQ(checksumOf("a"), 0xd24ec4f1a98c6e5bULL);
+    EXPECT_EQ(checksumOf("abc"), 0x44bc2cf5ad770999ULL);
+    EXPECT_EQ(checksumOf("Nobody inspects the spammish repetition"),
+              0xfbcea83c8a378bf1ULL);
+}
+
+TEST(WireTest, Checksum64SeesEverySingleBitFlip)
+{
+    // 100 bytes: three 32-byte stripes and a 4-byte tail.
+    std::vector<std::uint8_t> buf(100);
+    for (std::size_t i = 0; i < buf.size(); ++i)
+        buf[i] = static_cast<std::uint8_t>(i * 37 + 11);
+    const std::uint64_t clean = checksum64(buf.data(), buf.size());
+    for (std::size_t bit = 0; bit < buf.size() * 8; ++bit) {
+        const auto mask = static_cast<std::uint8_t>(1u << (bit % 8));
+        buf[bit / 8] ^= mask;
+        EXPECT_NE(checksum64(buf.data(), buf.size()), clean)
+            << "bit " << bit;
+        buf[bit / 8] ^= mask;
+    }
+}
+
 TEST(FrameTest, BatchRoundTrip)
 {
     TraceRegionBatchMsg msg;
@@ -163,7 +197,7 @@ TEST(FrameTest, RetiredHeartbeatTypeIsBadPayload)
     w.putU8(kFrameVersion);
     w.putU8(4);
     w.putU32(static_cast<std::uint32_t>(body.size()));
-    w.putU64(fnv1a64(body.data(), body.size()));
+    w.putU64(checksum64(body.data(), body.size()));
     w.putBytes(body.data(), body.size());
 
     Frame frame;
@@ -204,6 +238,23 @@ TEST(FrameTest, RejectsCorruption)
     bad[4] += 1;
     EXPECT_EQ(decodeFrame(bad.data(), bad.size(), &frame, &consumed),
               DecodeStatus::kBadVersion);
+}
+
+TEST(FrameTest, VersionOneFrameIsBadVersion)
+{
+    // Version 1 checked payloads with FNV-1a; no reader for it is
+    // kept, so such a frame fails before its checksum is looked at.
+    AckMsg ack;
+    ack.node = 3;
+    ack.batch_seq = 7;
+    std::vector<std::uint8_t> wire = encodeFrame(ack);
+    ASSERT_EQ(wire[4], kFrameVersion);
+    wire[4] = 1;
+    Frame frame;
+    std::size_t consumed = 1;
+    EXPECT_EQ(decodeFrame(wire.data(), wire.size(), &frame, &consumed),
+              DecodeStatus::kBadVersion);
+    EXPECT_EQ(consumed, 0u);
 }
 
 TEST(FrameTest, ConcatenatedFramesParseSequentially)
