@@ -7,12 +7,12 @@
  * transfer completed within the retry budget. The ingest's advertised
  * window is the transfer's only flow control (agent/trace_agent.h).
  *
- * Every ShardedMaster lane calls collectPlan() between the run phase
- * and capturePublish(); `existctl trace --net` uses the single-session
- * collectSessionResult(). Both are no-ops — the historical in-process
- * hand-off — unless their NetSpec is enabled: the request's
- * TraceRequest::netSpec() (its `net=` manifest keys) for collectPlan(),
- * the caller's spec for collectSessionResult().
+ * ShardedMaster calls collectPlan() for each request between its last
+ * session and capturePublish(); `existctl trace --net` uses the
+ * single-session collectSessionResult(). Both are no-ops — the
+ * historical in-process hand-off — unless their NetSpec is enabled:
+ * the request's TraceRequest::netSpec() (its `net=` manifest keys)
+ * for collectPlan(), the caller's spec for collectSessionResult().
  *
  * Determinism: each request gets its own EventQueue + Fabric seeded
  * by splitmix64 over (cluster seed, request id), so the collection

@@ -11,11 +11,11 @@
  * is invoked after the decision is final but BEFORE the corresponding
  * in-memory mutation, so a crash between append and apply loses no
  * acknowledged state — recovery treats the log as truth and replays
- * the mutation. Publishes are physical redo records: the lane builds
- * the full PublishEffects (report, OSS objects, ODPS rows, ledger
- * delta; cluster/shard/plan.h), and the sequenced commit action logs
- * them before it moves them into the stores, so a completed request
- * is never re-run after recovery.
+ * the mutation. Publishes are physical redo records: the worker that
+ * finishes a request's sessions builds the full PublishEffects
+ * (report, OSS objects, ODPS rows, ledger delta; cluster/shard/plan.h),
+ * and the sequenced commit action logs them before it moves them into
+ * the stores, so a completed request is never re-run after recovery.
  */
 #ifndef EXIST_CLUSTER_CONTROL_JOURNAL_H
 #define EXIST_CLUSTER_CONTROL_JOURNAL_H
@@ -65,7 +65,7 @@ struct ControlStateDump {
 };
 
 /** The journal interface the control plane mutates through.
- *  Implementations must be safe to call from concurrent shard lanes. */
+ *  Implementations must be safe to call from concurrent threads. */
 class ControlJournal
 {
   public:

@@ -14,16 +14,15 @@
  *     record, the moves into the object and table stores, RCO
  *     coverage accounting, report registration, the phase flip — is
  *     applied strictly in sequence order. The log is a reorder
- *     buffer, not a barrier: a shard that finishes out of order stages
- *     its action and moves on; whoever completes the missing sequence
- *     applies the whole ready run. Shards therefore never *block* on
- *     the log, which also makes the design safe on a pool narrower
- *     than the shard count (a blocked shard loop could otherwise wait
- *     for a shard that has not been scheduled yet).
+ *     buffer, not a barrier: a worker that finishes a request out of
+ *     order stages its action and moves on; whoever completes the
+ *     missing sequence applies the whole ready run. Workers therefore
+ *     never *block* on the log, so no pool width can deadlock it.
  *
  * The action is the only writer of a request's published results.
- * They were built beforehand on the lane (capturePublish), so the
- * action only journals them and moves them into place.
+ * They were built beforehand by the worker that finished the
+ * request's sessions (capturePublish), so the action only journals
+ * them and moves them into place.
  */
 #ifndef EXIST_CLUSTER_SHARD_COMMIT_LOG_H
 #define EXIST_CLUSTER_SHARD_COMMIT_LOG_H

@@ -67,8 +67,6 @@ planRequest(Cluster *cluster,
         spec.seed = cluster->config().seed * 1000003ULL +
                     static_cast<std::uint64_t>(pod->node) * 131ULL +
                     req.id;
-        // Sessions already fan out across the pool; per-core decode
-        // inside each session shares it rather than nesting new pools.
         spec.decode_threads = threads == 1 ? 1 : 0;
 
         std::vector<std::string> seen;
@@ -109,14 +107,13 @@ capturePublish(RequestPlan &plan)
 
         // Data path: raw trace objects for OSS, decoded rows for ODPS.
         std::uint64_t bytes = 0;
-        for (std::size_t i = 0; i < result.raw_traces.size(); ++i) {
-            const CollectedTrace &ct = result.raw_traces[i];
+        for (CollectedTrace &ct : result.raw_traces) {
             bytes += ct.bytes.size();
             std::string key = "traces/" + req.app + "/req" +
                               std::to_string(req.id) + "/node" +
                               std::to_string(session.node) + "/core" +
                               std::to_string(ct.core);
-            fx.objects.emplace_back(std::move(key), ct.bytes);
+            fx.objects.emplace_back(std::move(key), std::move(ct.bytes));
         }
         report.total_trace_bytes += bytes;
 

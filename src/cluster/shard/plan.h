@@ -3,10 +3,10 @@
  * Reconcile phases of the control plane: planning one TraceRequest
  * into worker-node sessions, and capturing what the completed
  * sessions publish (trace objects, decoded rows, a merged report and
- * a coverage-ledger delta). Every ShardedMaster lane runs these same
- * pure functions, and only the lane's sequenced commit action applies
- * what capturePublish returns, so a report does not depend on which
- * lane or thread produced it, or on whether a journal is attached.
+ * a coverage-ledger delta). ShardedMaster runs these same pure
+ * functions for every request, and only its sequenced commit action
+ * applies what capturePublish returns, so a report does not depend on
+ * which thread produced it, or on whether a journal is attached.
  *
  * Determinism contract: planning draws randomness from a *per-request*
  * RNG stream derived by splitmix64 over (cluster seed, request id), so
@@ -82,10 +82,11 @@ std::uint64_t requestPlanSeed(std::uint64_t cluster_seed,
  * RNG stream, emit the session specs. Reports kRunning via
  * plan.outcome, or kFailed when the app is not deployed (the plan
  * then has no sessions) — the caller applies the transition under its
- * request lock. `threads` is the controller's parallelism knob and only
- * selects the per-session decode pool policy (1 = fully serial
- * sessions; anything else shares the process pool) — it never changes
- * the plan itself.
+ * request lock. `threads` only selects each session's decode pool
+ * policy (1 = decode on the thread that runs the session; anything
+ * else fans the per-core decode out onto the shared pool) — it never
+ * changes the plan itself. ShardedMaster passes 1: its sessions
+ * already run side by side on its own pool.
  */
 RequestPlan planRequest(Cluster *cluster,
                         const RepetitionAwareCoverageOptimizer &rco,
@@ -115,9 +116,10 @@ struct PublishEffects {
  * trace objects, the decoded rows, the merged report and the ledger
  * delta. Pure function of the plan contents and the request fields;
  * iterates sessions in plan order, so the effects do not depend on
- * who calls it. Touches no live state: the caller's sequenced commit
- * journals the effects, moves them into the stores, records the
- * ledger delta and registers the report.
+ * who calls it. Consumes the sessions' raw traces: each one's bytes
+ * move into its OSS object. Touches no live state: the caller's
+ * sequenced commit journals the effects, moves them into the stores,
+ * records the ledger delta and registers the report.
  */
 PublishEffects capturePublish(RequestPlan &plan);
 

@@ -22,8 +22,13 @@ ShardedMaster::ShardedMaster(Cluster *cluster, RcoConfig rco_cfg,
     if (shards <= 0)
         shards = std::min(ThreadPool::defaultThreads(), 8);
     shards_.reserve(static_cast<std::size_t>(shards));
-    for (int i = 0; i < shards; ++i)
-        shards_.push_back(std::make_unique<Shard>());
+    for (int i = 0; i < shards; ++i) {
+        auto shard = std::make_unique<Shard>();
+        metrics::Scope scope(*metrics_, "shard." + std::to_string(i));
+        shard->reconciles = &scope.counter("reconciles");
+        shard->sessions = &scope.counter("sessions");
+        shards_.push_back(std::move(shard));
+    }
     metrics_->gauge("shards").set(shards);
 }
 
@@ -87,37 +92,94 @@ ShardedMaster::report(std::uint64_t id) const
     return it == shard.reports.end() ? nullptr : &it->second;
 }
 
+/** One request of a reconcile epoch: its commit sequence (its rank in
+ *  id order), its plan, and how many of its sessions are unfinished. */
+struct ShardedMaster::Pending {
+    std::uint64_t seq = 0;
+    RequestPlan plan;
+    std::atomic<std::size_t> sessions_left{0};
+};
+
 void
 ShardedMaster::reconcile()
 {
-    // Snapshot the pending ids per shard and rank every pending id in
-    // global id order — the rank is its commit sequence, so the
-    // sequenced tail of publishing runs in request order whatever the
-    // lane interleaving.
-    std::size_t nshards = shards_.size();
-    std::vector<std::vector<std::uint64_t>> pending(nshards);
-    std::vector<std::uint64_t> all;
-    for (std::size_t s = 0; s < nshards; ++s) {
-        Shard &shard = *shards_[s];
-        MutexLock lk(shard.mu);
-        for (auto &[id, req] : shard.requests)
-            if (req.phase == RequestPhase::kPending) {
-                pending[s].push_back(id);
-                all.push_back(id);
-            }
+    auto start = std::chrono::steady_clock::now();
+    // Every pending id in global id order: the rank is its commit
+    // sequence.
+    std::vector<std::uint64_t> ids;
+    for (const auto &sp : shards_) {
+        MutexLock lk(sp->mu);
+        for (auto &[id, req] : sp->requests)
+            if (req.phase == RequestPhase::kPending)
+                ids.push_back(id);
     }
-    std::sort(all.begin(), all.end());
-    std::map<std::uint64_t, std::uint64_t> seq_of;
-    for (std::size_t i = 0; i < all.size(); ++i)
-        seq_of[all[i]] = i;
+    std::sort(ids.begin(), ids.end());
+    log_.beginEpoch(ids.size());
 
-    log_.beginEpoch(all.size());
+    // Plan every request here, in id order, on its private RNG
+    // stream. Planning does not write the phase itself: every phase
+    // transition happens under the shard lock, so concurrent phaseOf()
+    // readers never race a bare store. Each session then decodes on
+    // the worker that runs it (planRequest's threads = 1).
+    std::vector<Pending> epoch(ids.size());
+    std::vector<std::pair<std::size_t, std::size_t>> queue;
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+        Pending &p = epoch[k];
+        Shard &shard = shardFor(ids[k]);
+        TraceRequest *req = nullptr;
+        {
+            // Pointer into the node-stable map; the map structure is
+            // not mutated while reconcile runs.
+            MutexLock lk(shard.mu);
+            req = &shard.requests.at(ids[k]);
+        }
+        p.seq = k;
+        {
+            EXIST_SPAN("reconcile.plan", ids[k]);
+            p.plan = planRequest(cluster_, rco_, *req, /*threads=*/1);
+        }
+        if (journal_ != nullptr)
+            journal_->onPlanned(ids[k], p.plan.outcome);
+        {
+            MutexLock lk(shard.mu);
+            req->phase = p.plan.outcome;
+        }
+        p.sessions_left.store(p.plan.sessions.size(),
+                              std::memory_order_relaxed);
+        for (std::size_t i = 0; i < p.plan.sessions.size(); ++i)
+            queue.emplace_back(k, i);
+    }
+    for (Pending &p : epoch)
+        if (p.plan.sessions.empty())
+            commitRequest(p, start);
 
-    // One pool runs the lanes, and each lane fans its request's
-    // sessions out onto the same pool (parallelFor helps while it
-    // waits, so nesting cannot starve it). threads == 1 keeps
-    // everything inline on this thread, which is what lets an
-    // in-process crash test unwind CrashInjected through reconcile().
+    // One queue of every session in (commit sequence, session index)
+    // order, drained through a shared cursor: earlier ids get the
+    // workers first, so the commit log rarely has to stage a finished
+    // request behind an unfinished predecessor. Whoever finishes a
+    // request's last session commits it. threads == 1 drains the
+    // queue inline on this thread, which is what lets an in-process
+    // crash test unwind CrashInjected through reconcile().
+    std::atomic<std::size_t> cursor{0};
+    auto drain = [&](std::size_t) {
+        for (;;) {
+            std::size_t q = cursor.fetch_add(1, std::memory_order_relaxed);
+            if (q >= queue.size())
+                return;
+            Pending &p = epoch[queue[q].first];
+            SessionPlan &session = p.plan.sessions[queue[q].second];
+            {
+                EXIST_SPAN("session.run",
+                           obs::corrId(p.plan.req->id, session.spec.seed));
+                session.result = Testbed::run(session.spec);
+                recordSessionMetrics(session.result);
+            }
+            // acq_rel: the worker that takes the count to zero sees
+            // every other worker's session result.
+            if (p.sessions_left.fetch_sub(1, std::memory_order_acq_rel) == 1)
+                commitRequest(p, start);
+        }
+    };
     std::unique_ptr<ThreadPool> owned;
     ThreadPool *pool = nullptr;
     if (threads_ > 1) {
@@ -126,16 +188,13 @@ ShardedMaster::reconcile()
     } else if (threads_ <= 0) {
         pool = &ThreadPool::shared();
     }
-    auto runShard = [&](std::size_t s) {
-        reconcileShard(s, pending[s], seq_of, pool);
-    };
     if (pool == nullptr) {
-        for (std::size_t s = 0; s < nshards; ++s)
-            runShard(s);
+        drain(0);
     } else {
         std::uint64_t tasks0 = pool->tasksRun();
         std::uint64_t steals0 = pool->steals();
-        pool->parallelFor(0, nshards, runShard);
+        pool->parallelFor(
+            0, std::min<std::size_t>(queue.size(), pool->size()), drain);
         metrics_->gauge("pool.tasks_run")
             .add(static_cast<std::int64_t>(pool->tasksRun() - tasks0));
         metrics_->gauge("pool.steals")
@@ -147,91 +206,49 @@ ShardedMaster::reconcile()
 }
 
 void
-ShardedMaster::reconcileShard(std::size_t index,
-                              const std::vector<std::uint64_t> &ids,
-                              const std::map<std::uint64_t,
-                                             std::uint64_t> &seq_of,
-                              ThreadPool *pool)
+ShardedMaster::commitRequest(Pending &p,
+                             std::chrono::steady_clock::time_point start)
 {
-    metrics::Scope scope(*metrics_, "shard." + std::to_string(index));
-    metrics::Counter &reconciles = scope.counter("reconciles");
-    metrics::Counter &shard_sessions = scope.counter("sessions");
-    metrics::Histogram &latency = metrics_->histogram("reconcile.latency_us");
-    metrics::Counter &reordered = metrics_->counter("commitlog.reordered");
-    Shard &shard = *shards_[index];
+    RequestPlan &plan = p.plan;
+    TraceRequest *req = plan.req;
+    std::uint64_t id = req->id;
+    Shard &shard = shardFor(id);
+    sessions_run_.fetch_add(plan.sessions.size(),
+                            std::memory_order_relaxed);
+    shard.sessions->add(plan.sessions.size());
 
-    for (std::uint64_t id : ids) {
-        auto t0 = std::chrono::steady_clock::now();
-        TraceRequest *req;
-        {
-            // Pointer into the node-stable map; the map structure is
-            // not mutated while reconcile runs.
-            MutexLock lk(shard.mu);
-            req = &shard.requests.at(id);
-        }
+    // Collection plane (net=true requests): ship session results
+    // over the request's private fabric before publishing. The
+    // fabric is seeded by (cluster seed, request id), so the fault
+    // pattern — hence the published report — is independent of
+    // shard count, thread count and which worker gets here, and a
+    // request recovered mid-collection repeats it exactly.
+    collectPlan(plan, cluster_->config().seed, metrics_);
 
-        // Plan on the request's private RNG stream, then run its
-        // worker-node sessions, fanned out on the lane's pool.
-        // Planning does not write the phase itself: every phase
-        // transition happens under shard.mu, so concurrent phaseOf()
-        // readers never race a bare store.
-        RequestPlan plan = [&] {
-            EXIST_SPAN("reconcile.plan", id);
-            return planRequest(cluster_, rco_, *req, threads_);
-        }();
-        if (journal_ != nullptr)
-            journal_->onPlanned(id, plan.outcome);
-        {
-            MutexLock lk(shard.mu);
-            req->phase = plan.outcome;
-        }
-        auto runSession = [&](std::size_t i) {
-            SessionPlan &session = plan.sessions[i];
-            EXIST_SPAN("session.run", obs::corrId(id, session.spec.seed));
-            session.result = Testbed::run(session.spec);
-            recordSessionMetrics(session.result);
-        };
-        if (pool == nullptr) {
-            for (std::size_t i = 0; i < plan.sessions.size(); ++i)
-                runSession(i);
-        } else {
-            pool->parallelFor(0, plan.sessions.size(), runSession);
-        }
-        sessions_run_.fetch_add(plan.sessions.size(),
-                                std::memory_order_relaxed);
-        shard_sessions.add(plan.sessions.size());
+    // Publishing is pure, so it runs here, beside other requests'
+    // sessions; it takes the raw trace bytes, and the rest of the
+    // session results are freed with the sessions. The sequenced
+    // commit action below is the only writer of what it built: it
+    // journals the effects first (WAL before state), then moves them
+    // into the stores, the ledger and the report map, in id order.
+    PublishEffects fx;
+    bool completed = plan.outcome == RequestPhase::kRunning;
+    if (completed) {
+        EXIST_SPAN("reconcile.publish", id);
+        fx = capturePublish(plan);
+    }
+    plan.sessions.clear();
 
-        // Collection plane (net=true requests): ship session results
-        // over the request's private fabric before publishing. The
-        // fabric is seeded by (cluster seed, request id), so the fault
-        // pattern — hence the published report — is independent of
-        // shard count, thread count and reconcile interleaving, and a
-        // request recovered mid-collection repeats it exactly.
-        collectPlan(plan, cluster_->config().seed, metrics_);
-
-        // Publishing is pure, so it runs here, in parallel with the
-        // other lanes. The sequenced commit action below is the only
-        // writer of what it built: it journals the effects first (WAL
-        // before state), then moves them into the stores, the ledger
-        // and the report map, all in global id order.
-        PublishEffects fx;
-        bool completed = plan.outcome == RequestPhase::kRunning;
-        if (completed) {
-            EXIST_SPAN("reconcile.publish", id);
-            fx = capturePublish(plan);
-        }
-
-        // The sequenced action may drain on whichever shard thread
-        // reaches the reorder buffer: link the handoff with a flow.
-        std::uint64_t commit_corr = obs::corrId(id, seq_of.at(id));
-        obs::flowBegin("commitlog.action", commit_corr);
-        std::size_t applied = log_.commit(
-            seq_of.at(id), [this, &shard, req, completed, commit_corr,
-                            fx = std::move(fx)]() mutable {
-                EXIST_SPAN("commitlog.action", commit_corr);
-                obs::flowEnd("commitlog.action", commit_corr);
-                if (!completed)
-                    return;  // failed during planning: stays kFailed
+    // The sequenced action may drain on whichever worker reaches the
+    // reorder buffer: link the handoff with a flow.
+    std::uint64_t commit_corr = obs::corrId(id, p.seq);
+    obs::flowBegin("commitlog.action", commit_corr);
+    std::size_t applied = log_.commit(
+        p.seq, [this, &shard, req, completed, commit_corr, start,
+                fx = std::move(fx)]() mutable {
+            EXIST_SPAN("commitlog.action", commit_corr);
+            obs::flowEnd("commitlog.action", commit_corr);
+            if (completed) {
                 if (journal_ != nullptr)
                     journal_->onPublish(req->id, fx);
                 metrics::Counter &puts = metrics_->counter("oss.puts");
@@ -250,26 +267,26 @@ ShardedMaster::reconcileShard(std::size_t index,
                 ledger_.recordRequest(fx.ledger.app, fx.ledger.sessions,
                                       fx.ledger.period,
                                       fx.ledger.trace_bytes);
-                {
-                    // The phase flip must ride the same lock as the
-                    // report registration: this action may run on
-                    // whichever shard thread drained the reorder
-                    // buffer, racing phaseOf()/report() readers.
-                    MutexLock lk(shard.mu);
-                    shard.reports.emplace(req->id, std::move(fx.report));
-                    req->phase = RequestPhase::kCompleted;
-                }
-            });
-        if (applied == 0)
-            reordered.add();
-        metrics_->counter("commitlog.commits").add();
-
-        reconciles.add();
-        latency.record(static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count()));
-    }
+                // The phase flip must ride the same lock as the report
+                // registration: this action may run on whichever
+                // worker drained the reorder buffer, racing
+                // phaseOf()/report() readers.
+                MutexLock lk(shard.mu);
+                shard.reports.emplace(req->id, std::move(fx.report));
+                req->phase = RequestPhase::kCompleted;
+            }
+            // Readable now (or final, when planning failed): the wait a
+            // caller of reconcile() sees for this request.
+            metrics_->histogram("reconcile.latency_us")
+                .record(static_cast<std::uint64_t>(
+                    std::chrono::duration_cast<std::chrono::microseconds>(
+                        std::chrono::steady_clock::now() - start)
+                        .count()));
+        });
+    if (applied == 0)
+        metrics_->counter("commitlog.reordered").add();
+    metrics_->counter("commitlog.commits").add();
+    shard.reconciles->add();
 }
 
 void
@@ -352,8 +369,8 @@ ShardedMaster::managementFootprint() const
     // pod consumes < 3e-3 cores and ~40 MB on a ten-node cluster, with
     // sub-linear growth toward per-mille overhead at thousand scale.
     // Per-shard footprints summed: each shard carries its slice of the
-    // API-server state plus a fixed per-shard overhead (reconcile
-    // loop, shard lock). Pool threads are parked outside reconcile,
+    // API-server state plus a fixed per-shard overhead (its maps and
+    // lock). Pool threads are parked outside reconcile,
     // so they cost stack memory and housekeeping, not cores.
     double nodes = cluster_->numNodes();
     auto nshards = static_cast<double>(shards_.size());

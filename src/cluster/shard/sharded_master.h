@@ -10,15 +10,17 @@
  * traces into one augmented report.
  *
  * The API-server state — TraceRequests, reports, per-request planning
- * RNG streams — is partitioned across N shards by request id; each
- * shard runs its own reconcile lane on the runtime work-stealing pool,
- * fanning its request's worker-node sessions out onto the same pool,
- * and builds the request's publish effects there. A sequenced
- * CommitLog then applies them in global id order: its commit action is
- * the only writer of the stores, the RCO coverage ledger and the
- * report map, with or without a journal attached. One lane with one
- * thread is the serial reference every determinism check compares
- * against.
+ * RNG streams — is partitioned across N shards by request id. A
+ * reconcile plans every pending request on the calling thread in
+ * global id order, then drains all of their worker-node sessions
+ * through one queue in commit order on the runtime work-stealing
+ * pool: earlier ids get the cores first, which is the order the
+ * sequenced CommitLog publishes in. The worker that finishes a
+ * request's last session collects it, builds its publish effects and
+ * commits them; the commit action is the only writer of the stores,
+ * the RCO coverage ledger and the report map, with or without a
+ * journal attached. One thread is the serial reference every
+ * determinism check compares against.
  *
  * Determinism: reports are bit-identical at any shard count, thread
  * count and scheduling, because
@@ -30,12 +32,15 @@
  *     capturePublish), and
  *   - the sequenced commit applies every publish in global
  *     request-id order.
- * Only wall-clock time changes with the shard and thread counts.
+ * Journal order is fixed too: every plan of an epoch, in id order,
+ * then every publish, in id order. Only wall-clock time changes with
+ * the shard and thread counts.
  */
 #ifndef EXIST_CLUSTER_SHARD_SHARDED_MASTER_H
 #define EXIST_CLUSTER_SHARD_SHARDED_MASTER_H
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -61,12 +66,12 @@ class ShardedMaster
 {
   public:
     /**
-     * shards: number of API-server shards (reconcile lanes). 0 picks
-     * min(hardware threads, 8). threads: width of the one pool that
-     * runs the lanes and their sessions (and selects the per-session
-     * decode pool policy, see planRequest): 1 = everything inline on
-     * the calling thread, 0 = the process-wide shared pool. metrics:
-     * registry to record into (nullptr = the process-global registry).
+     * shards: number of API-server shards (partitions of the request
+     * and report maps). 0 picks min(hardware threads, 8). threads:
+     * width of the pool that drains each reconcile's session queue:
+     * 1 = everything inline on the calling thread, 0 = the
+     * process-wide shared pool. metrics: registry to record into
+     * (nullptr = the process-global registry).
      */
     explicit ShardedMaster(Cluster *cluster, RcoConfig rco_cfg = {},
                            int shards = 0, int threads = 0,
@@ -79,7 +84,7 @@ class ShardedMaster
      *  the caller and submitted. */
     std::uint64_t apply(const std::string &manifest);
 
-    /** Run every shard's controller loop until nothing is pending. */
+    /** Plan, run and publish every pending request (one epoch). */
     void reconcile();
 
     /**
@@ -118,9 +123,10 @@ class ShardedMaster
 
     /**
      * Attach the durability journal (cluster/control_journal.h).
-     * Admission/plan hooks run WAL-before-state on the shard lanes;
-     * the sequenced commit action journals each publish before it
-     * applies it, so WAL publish order equals global id order.
+     * Admission and plan hooks run WAL-before-state on the calling
+     * thread; the sequenced commit action journals each publish
+     * before it applies it, so WAL publish order equals global id
+     * order.
      * nullptr detaches.
      */
     void attachJournal(ControlJournal *journal) { journal_ = journal; }
@@ -143,21 +149,22 @@ class ShardedMaster
             EXIST_GUARDED_BY(mu);
         std::map<std::uint64_t, TraceReport> reports
             EXIST_GUARDED_BY(mu);
+        metrics::Counter *reconciles = nullptr;
+        metrics::Counter *sessions = nullptr;
     };
+    /** One planned request of a reconcile epoch (sharded_master.cc). */
+    struct Pending;
 
     Shard &shardFor(std::uint64_t id) const
     {
         return *shards_[id % shards_.size()];
     }
 
-    /** Reconcile one shard's pending requests (seq_of maps request
-     *  id -> global commit sequence). Runs on a worker of `pool` and
-     *  fans each request's sessions out onto it; nullptr = inline. */
-    void reconcileShard(std::size_t index,
-                        const std::vector<std::uint64_t> &ids,
-                        const std::map<std::uint64_t, std::uint64_t>
-                            &seq_of,
-                        ThreadPool *pool);
+    /** Collect and publish a request whose sessions all finished, and
+     *  hand its effects to the commit log (`start`: when its
+     *  reconcile() began, for reconcile.latency_us). */
+    void commitRequest(Pending &p,
+                       std::chrono::steady_clock::time_point start);
     void recordSessionMetrics(const ExperimentResult &result);
 
     Cluster *cluster_;

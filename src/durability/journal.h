@@ -20,10 +20,11 @@
  * "post-snapshot" before truncation), keeps the two newest images,
  * and truncates WAL segments wholly below the older kept barrier.
  *
- * Thread-safety: hooks are called from concurrent shard lanes; the
- * Wal's kWal mutex orders appends (publish appends happen inside
- * CommitLog actions, so their LSN order is the global id order), and
- * the snapshot counter is atomic.
+ * Thread-safety: admits may come from concurrent submitters, plans
+ * from the reconcile caller and publishes from whichever worker
+ * drains the commit log; the Wal's kWal mutex orders appends (publish
+ * appends happen inside CommitLog actions, so their LSN order is the
+ * global id order), and the snapshot counter is atomic.
  */
 #ifndef EXIST_DURABILITY_JOURNAL_H
 #define EXIST_DURABILITY_JOURNAL_H

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <optional>
 #include <utility>
 
@@ -189,10 +190,20 @@ putMeta(net::ByteWriter &w, const ClusterMeta &m)
 bool
 getMeta(net::ByteReader &r, ClusterMeta *out)
 {
+    // Each count is a varint in [lo, hi]: a value the CLI would have
+    // refused must fail here too, not reach Cluster or ShardedMaster.
+    constexpr int kIntMax = std::numeric_limits<int>::max();
+    auto count = [&r](int lo, int hi, int *field) {
+        std::uint64_t v = r.getVarint();
+        *field = static_cast<int>(v);
+        return v >= static_cast<std::uint64_t>(lo) &&
+               v <= static_cast<std::uint64_t>(hi);
+    };
     out->cluster_seed = r.getU64();
-    out->num_nodes = static_cast<int>(r.getVarint());
-    out->cores_per_node = static_cast<int>(r.getVarint());
-    out->shards = static_cast<int>(r.getVarint());
+    if (!count(1, kIntMax, &out->num_nodes) ||
+        !count(1, kMaxMetaCount, &out->cores_per_node) ||
+        !count(1, kMaxMetaCount, &out->shards))
+        return false;
     out->snapshot_interval = r.getVarint();
     std::uint64_t n = r.getVarint();
     if (!r.ok() || n > r.remaining())
@@ -200,7 +211,9 @@ getMeta(net::ByteReader &r, ClusterMeta *out)
     out->deployments.clear();
     for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
         std::string app = r.getString();
-        int replicas = static_cast<int>(r.getVarint());
+        int replicas = 0;
+        if (!count(1, kIntMax, &replicas))
+            return false;
         out->deployments.emplace_back(std::move(app), replicas);
     }
     return r.ok();

@@ -82,16 +82,22 @@ inline constexpr std::size_t kRecordHeaderBytes = 4 + 8;
 /** Framing sanity bound; a length prefix past this is corruption. */
 inline constexpr std::uint32_t kMaxRecordBytes = 64u << 20;
 
-/** Cluster identity, logged first and embedded in every snapshot. */
+/** Cap on a logged cores_per_node and shards: the caps of existctl's
+ *  --cores and --shards. */
+inline constexpr int kMaxMetaCount = 256;
+
+/** Cluster identity, logged first and embedded in every snapshot.
+ *  getMeta checks it as the CLI checks its flags: at least one node,
+ *  cores_per_node and shards in [1, kMaxMetaCount], at least one
+ *  replica per deployment. */
 struct ClusterMeta {
     std::uint64_t cluster_seed = 0;
     int num_nodes = 0;
     int cores_per_node = 0;
-    /** API-server shard count the log was written under. Recovery
-     *  rebuilds a ShardedMaster with this many lanes; 0 (written by
-     *  versions that still had a serial control plane, whose version-1
-     *  logs replay now refuses) recovers into one lane. */
-    int shards = 0;
+    /** API-server shard count the log was written under; recovery
+     *  rebuilds a ShardedMaster with this many shards. Defaults to
+     *  one, what `existctl trace --wal` logs without --shards. */
+    int shards = 1;
     std::uint64_t snapshot_interval = 0;
     /** (app, replicas) in deploy order. */
     std::vector<std::pair<std::string, int>> deployments;
@@ -140,7 +146,8 @@ using StoredObjects =
 
 /** Shared serializers (the snapshot image reuses them). All readers
  *  go through the latching ByteReader: corrupt input returns false,
- *  never UB. */
+ *  never UB. getMeta also returns false for a meta outside
+ *  ClusterMeta's ranges, or with a varint that does not fit its int. */
 void putMeta(net::ByteWriter &w, const ClusterMeta &m);
 bool getMeta(net::ByteReader &r, ClusterMeta *out);
 void putReport(net::ByteWriter &w, const TraceReport &report);

@@ -5,7 +5,7 @@
  * degradation on retry exhaustion, and the ISSUE 6 acceptance gates —
  * results and control-plane reports byte-identical to in-process
  * delivery at drop rates {0, 0.01, 0.05} with reordering, for the
- * Testbed path, the serial control-plane reference (one lane, one
+ * Testbed path, the serial control-plane reference (one shard, one
  * thread) and the ShardedMaster at several shard counts.
  */
 #include <gtest/gtest.h>

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <map>
 #include <string>
 #include <utility>
@@ -522,6 +523,27 @@ TEST(SnapshotTest, VersionTwoImageIsRefused)
     expectOldImageRefused(2);
 }
 
+TEST(SnapshotTest, ImageWithBadMetaIsInvalid)
+{
+    // getMeta's range checks hold for images too: a checksum-valid
+    // image whose meta has no shards does not load.
+    fs::path dir = freshDir("snapmeta");
+    SnapshotState st = demoSnapshot(5);
+    st.meta.shards = 0;
+    std::string error;
+    ASSERT_TRUE(writeSnapshot(dir.string(), st, &error)) << error;
+    SnapshotLoad load = loadNewestSnapshot(dir.string());
+    EXPECT_TRUE(load.found);
+    EXPECT_FALSE(load.ok);
+    EXPECT_NE(load.error.find("bad meta"), std::string::npos)
+        << load.error;
+    RecoveryResult rec = recover(dir.string());
+    EXPECT_FALSE(rec.ok);
+    EXPECT_NE(rec.error.find("no valid snapshot"), std::string::npos)
+        << rec.error;
+    fs::remove_all(dir);
+}
+
 // ---------------------------------------------------------------
 // CRD + crash-point unit tests
 // ---------------------------------------------------------------
@@ -556,6 +578,115 @@ TEST(DurabilityCrdTest, WalKeysFailRecoveryAsCorruption)
             << rec.error;
         fs::remove_all(dir);
     }
+}
+
+/** The counts of a forged meta record, each written as a raw varint
+ *  (putMeta writes a negative int as a 10-byte one). */
+struct RawMeta {
+    std::uint64_t num_nodes = 4;
+    std::uint64_t cores_per_node = 2;
+    std::uint64_t shards = 1;
+    std::uint64_t replicas = 3;
+};
+
+/** A one-segment log: a checksum-valid meta record with `m`'s counts,
+ *  then one admission. */
+void
+writeForgedMetaLog(const fs::path &dir, const RawMeta &m)
+{
+    std::vector<std::uint8_t> seg;
+    net::ByteWriter w(&seg);
+    w.putU32(kWalMagic);
+    w.putU8(kWalVersion);
+    w.putU64(1);  // start lsn
+    auto record = [&w, &seg](auto &&body) {
+        std::size_t at = seg.size();
+        w.putU32(0);
+        w.putU64(0);
+        body();
+        w.patchU32(at, static_cast<std::uint32_t>(
+                           seg.size() - at - kRecordHeaderBytes));
+        w.patchU64(at + 4, w.checksumFrom(at + kRecordHeaderBytes));
+    };
+    record([&] {
+        w.putU8(static_cast<std::uint8_t>(RecordType::kMeta));
+        w.putVarint(1);   // lsn
+        w.putU64(11);     // cluster seed
+        w.putVarint(m.num_nodes);
+        w.putVarint(m.cores_per_node);
+        w.putVarint(m.shards);
+        w.putVarint(0);   // snapshot interval
+        w.putVarint(1);   // deployments
+        w.putString("Cache");
+        w.putVarint(m.replicas);
+    });
+    WalRecord admit = admitRecord(1, "app=Cache budget_mb=64");
+    admit.lsn = 2;
+    record([&] { encodeRecord(w, admit); });
+    writeFile(dir / lsnFileName("wal-", 1, ".seg"), seg);
+}
+
+/** Each forged meta fails replay, and so recovery, at its LSN. */
+void
+expectForgedMetaRefused(std::initializer_list<RawMeta> metas)
+{
+    for (const RawMeta &m : metas) {
+        SCOPED_TRACE("nodes=" + std::to_string(m.num_nodes) +
+                     " cores=" + std::to_string(m.cores_per_node) +
+                     " shards=" + std::to_string(m.shards) +
+                     " replicas=" + std::to_string(m.replicas));
+        fs::path dir = freshDir("forgedmeta");
+        writeForgedMetaLog(dir, m);
+        RecoveryResult rec = recover(dir.string());
+        EXPECT_FALSE(rec.ok);
+        EXPECT_NE(rec.error.find("wal record lsn 1 "), std::string::npos)
+            << rec.error;
+        fs::remove_all(dir);
+    }
+}
+
+TEST(RecoveryTest, ForgedMetaWithoutNodesFailsRecovery)
+{
+    // Cluster::deploy spreads replicas by a modulo over the node
+    // count. The forger itself is sound: in range, the log recovers.
+    fs::path dir = freshDir("forgedok");
+    writeForgedMetaLog(dir, {});
+    RecoveryResult rec = recover(dir.string());
+    ASSERT_TRUE(rec.ok) << rec.error;
+    EXPECT_EQ(rec.state.meta.num_nodes, 4);
+    EXPECT_EQ(rec.state.telemetry.pending_requests, 1u);
+    fs::remove_all(dir);
+    expectForgedMetaRefused({{.num_nodes = 0}});
+}
+
+TEST(RecoveryTest, ForgedMetaCoresOutOfRangeFailRecovery)
+{
+    // existctl's --cores takes 1 to 256.
+    expectForgedMetaRefused({{.cores_per_node = 0},
+                             {.cores_per_node = kMaxMetaCount + 1}});
+}
+
+TEST(RecoveryTest, ForgedMetaShardsOutOfRangeFailRecovery)
+{
+    // 0 would let ShardedMaster pick min(hardware threads, 8) shards;
+    // existctl's --shards takes at most 256.
+    expectForgedMetaRefused(
+        {{.shards = 0}, {.shards = kMaxMetaCount + 1}});
+}
+
+TEST(RecoveryTest, ForgedMetaReplicasBelowOneFailRecovery)
+{
+    // Cluster::deploy needs at least one replica; -5 is what putMeta
+    // writes for a negative int.
+    expectForgedMetaRefused(
+        {{.replicas = 0}, {.replicas = static_cast<std::uint64_t>(-5)}});
+}
+
+TEST(RecoveryTest, ForgedMetaBeyondIntFailsRecovery)
+{
+    // Truncated to an int, 2^32 + 4 nodes would read as 4.
+    expectForgedMetaRefused({{.num_nodes = (1ULL << 32) + 4},
+                             {.replicas = (1ULL << 32) + 3}});
 }
 
 TEST(RecoveryTest, RepeatedAdmitFailsAtItsLsn)
@@ -607,10 +738,7 @@ TEST(CrashPointTest, NamedCountAndStepArming)
 // ---------------------------------------------------------------
 
 struct RunConfig {
-    /** Lanes the run uses and its log records. 0 is logged as 0 — a
-     *  log from a version with a serial control plane — and runs and
-     *  recovers as one lane. */
-    int shards = 1;
+    int shards = 1;  ///< the run's shards, as its log records them
     bool net = false;
     std::uint64_t snapshot_interval = 0;  ///< 0 = never snapshot
     /** Fabric drop rate of net runs. At 0.8 most streams spill, so
@@ -682,12 +810,12 @@ struct Artifacts {
     CoverageLedger ledger;
 };
 
-/** The crash tests' control plane: `cfg.shards` lanes (at least one),
- *  everything inline so an injected crash unwinds to the caller. */
+/** The crash tests' control plane: `shards` shards, everything inline
+ *  so an injected crash unwinds to the caller. */
 ShardedMaster
 makeMaster(Cluster *cluster, int shards)
 {
-    return ShardedMaster(cluster, {}, std::max(1, shards), 1);
+    return ShardedMaster(cluster, {}, shards, 1);
 }
 
 Artifacts
@@ -873,16 +1001,6 @@ TEST(RecoveryMatrixTest, EveryNamedPointShardedNet)
             crashRecoverCompare(cfg, point, want,
                                 "named" + std::to_string(i++));
     }
-}
-
-TEST(RecoveryMatrixTest, ZeroShardLogFromOlderVersionRecovers)
-{
-    // meta.shards == 0 is what versions with a serial control plane
-    // logged; such a log must still recover, into one lane.
-    RunConfig cfg{/*shards=*/0, true, 0};
-    Artifacts want = golden(cfg);
-    crashRecoverCompare(cfg, "pre-store:2", want, "zero");
-    crashRecoverCompare(cfg, "post-plan:2", want, "zero2");
 }
 
 TEST(RecoveryMatrixTest, RandomizedEventQueueSteps)

@@ -2,11 +2,11 @@
  * @file
  * Sharded control-plane tests: the headline determinism guarantee
  * (ShardedMaster reports are bit-identical to the serial reference —
- * one lane, one thread — for any shard count × thread count × submit
- * order), commit-log ordering, and TSan-targeted stress of concurrent
- * submits, lane-level session fan-out, journaled publishes read back
- * while they commit, and the lock-striped metrics registry (runs in
- * the `concurrency` suite).
+ * one shard, one thread — for any shard count × thread count × submit
+ * order), commit-log and journal ordering, and TSan-targeted stress
+ * of concurrent submits, the session queue's fan-out, journaled
+ * publishes read back while they commit, and the lock-striped metrics
+ * registry (runs in the `concurrency` suite).
  */
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include <atomic>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cluster/control_journal.h"
@@ -21,6 +22,7 @@
 #include "cluster/shard/commit_log.h"
 #include "cluster/shard/plan.h"
 #include "cluster/shard/sharded_master.h"
+#include "runtime/thread_pool.h"
 
 namespace exist {
 namespace {
@@ -88,7 +90,7 @@ sortedRows(std::vector<const TraceRow *> rows)
     return out;
 }
 
-/** Run one submit stream through the serial reference (one lane, one
+/** Run one submit stream through the serial reference (one shard, one
  *  thread) and a ShardedMaster with `shards` shards on `threads`
  *  threads, and compare every observable artifact. `pool_tasks`, if
  *  set, receives the tasks the sharded run executed on its pool. */
@@ -317,26 +319,84 @@ TEST(ShardedMasterStress, ConcurrentSubmitsThenReconcile)
               kTotal);
 }
 
-TEST(ShardedMasterStress, LaneSessionsFanOutIdentically)
+TEST(ShardedMasterStress, QueueSessionsFanOutIdentically)
 {
     // TSan target: one anomaly request's three sessions (one per
-    // Cache replica) run concurrently inside its lane — on a pool of
-    // its own with one shard, on the shared pool with four — and must
-    // publish exactly what the inline serial reference does.
+    // Cache replica) run concurrently off the session queue — on a
+    // pool of its own with one shard, on the shared pool with four —
+    // and the worker that finishes last publishes exactly what the
+    // inline serial reference does.
     const std::vector<std::string> one = {
         "app=Cache anomaly=true period_ms=20 budget_mb=64"};
     std::int64_t tasks = 0;
-    // One shard runs its lane inline, so every pool task is a session.
+    // One queue drainer per session, each a pool task (a one-worker
+    // pool drains inline).
     compareSerialVsSharded(one, /*shards=*/1, /*threads=*/4, &tasks);
     EXPECT_GE(tasks, 3);
-    // Four lanes as pool tasks, plus the busy lane's three sessions.
     compareSerialVsSharded(one, /*shards=*/4, /*threads=*/0, &tasks);
-    EXPECT_GE(tasks, 4 + 3);
+    int width = ThreadPool::shared().size();
+    EXPECT_GE(tasks, width > 1 ? std::min(3, width) : 0);
+}
+
+/** ControlJournal fake that records the plan and publish hooks in call
+ *  order. It takes no lock of its own: plans run on the reconcile
+ *  caller before any session starts and the commit log serializes
+ *  publishes, so TSan flags any hook call that races another. */
+class HookOrderRecorder : public ControlJournal
+{
+  public:
+    void onAdmit(const TraceRequest &) override {}
+    void
+    onPlanned(std::uint64_t id, RequestPhase) override
+    {
+        calls.emplace_back("plan", id);
+    }
+    void
+    onPublish(std::uint64_t id, const PublishEffects &) override
+    {
+        calls.emplace_back("publish", id);
+    }
+
+    std::vector<std::pair<std::string, std::uint64_t>> calls;
+};
+
+TEST(ShardedMasterStress, EpochPlansAllThenPublishesInIdOrder)
+{
+    // A reconcile plans every pending request, in id order, before the
+    // first publish, and publishes in id order: the journal order is
+    // the same at any shard and thread count (the failed request is
+    // planned but never published).
+    std::vector<std::string> manifests = demoManifests();
+    manifests.insert(manifests.begin() + 1, "app=NotDeployed period_ms=20");
+    for (auto [shards, threads] : {std::pair{1, 1}, std::pair{1, 4},
+                                   std::pair{4, 4}, std::pair{4, 0}}) {
+        SCOPED_TRACE("shards=" + std::to_string(shards) +
+                     " threads=" + std::to_string(threads));
+        Cluster cluster(smallConfig());
+        deployDemo(cluster);
+        metrics::Registry registry;
+        ShardedMaster master(&cluster, {}, shards, threads, &registry);
+        HookOrderRecorder journal;
+        master.attachJournal(&journal);
+
+        std::vector<std::pair<std::string, std::uint64_t>> want;
+        std::vector<std::uint64_t> completed;
+        for (const std::string &m : manifests) {
+            std::uint64_t id = master.apply(m);
+            want.emplace_back("plan", id);
+            if (m.find("NotDeployed") == std::string::npos)
+                completed.push_back(id);
+        }
+        for (std::uint64_t id : completed)
+            want.emplace_back("publish", id);
+        master.reconcile();
+        EXPECT_EQ(journal.calls, want);
+    }
 }
 
 /** ControlJournal fake that records the ids onPublish sees, in call
  *  order. It takes no lock of its own: the commit log serializes
- *  onPublish, and TSan flags it if a lane ever calls it directly. */
+ *  onPublish, and TSan flags it if a worker ever calls it directly. */
 class PublishRecorder : public ControlJournal
 {
   public:

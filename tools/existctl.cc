@@ -51,7 +51,7 @@
  *   existctl trace <app> --wal DIR [--snapshot-interval K]
  *                        [--crash-at P] [--shards N] ...
  *       Durability mode (DESIGN.md §12): the control plane (one
- *       lane without --shards, N with) journals every mutation into
+ *       shard without --shards, N with) journals every mutation into
  *       DIR's write-ahead log and snapshots every K publishes. DIR
  *       must not hold a log or snapshot yet.
  *       --crash-at arms a named crash point ("admit", "post-plan",
@@ -296,7 +296,7 @@ traceCluster(const TraceRequest &req, int shards, int threads,
              const std::string &crash_at)
 {
     // Never hand 0 to ShardedMaster here: it would pick min(hw, 8)
-    // lanes, and a log must name the lane count it was written at.
+    // shards, and a log must name the shard count it was written at.
     shards = std::max(1, shards);
     ClusterConfig cc;
     cc.num_nodes = 6;
@@ -410,10 +410,7 @@ cmdRecover(int argc, char **argv)
     for (const auto &[id, req] : st.dump.requests)
         ids.push_back(id);
 
-    // A log that records 0 shards predates the one-lane default and
-    // recovers into one lane (0 would pick min(hw, 8) lanes).
-    ShardedMaster master(&cluster, {}, std::max(1, st.meta.shards),
-                         threads);
+    ShardedMaster master(&cluster, {}, st.meta.shards, threads);
     master.restoreForRecovery(st.dump);
     master.attachJournal(&journal);
     master.reconcile();
